@@ -29,7 +29,6 @@ from .energy import (
     projective_riesz_energy,
     riesz_energy,
 )
-from .geometry import ProjectivePoint
 from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
 from .montecarlo import (
@@ -47,7 +46,7 @@ from .pointset import (
     pointset_to_json,
     read_pointset,
 )
-from .sampler import ProjectiveSample, SamplerConfig, sample_projective_ensemble
+from .sampler import SamplerConfig, sample_projective_ensemble
 
 SEED_ENV_VAR = "PENSEMBLE_SEED"
 
@@ -69,10 +68,6 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
-def _load_projective_points(ps: PointSetFile) -> tuple[ProjectivePoint, ...]:
-    return tuple(ProjectivePoint(row) for row in ps.points)
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = KernelParams(args.d, args.L)
@@ -89,13 +84,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
     ps = read_pointset(args.infile)
     if ps.space != SPACE_PROJECTIVE:
         raise ValueError("lift expects a projective ('CP') point-set file")
-    sample = ProjectiveSample(
-        points=_load_projective_points(ps),
-        params=KernelParams(ps.d, ps.L),
-        seed=ps.seed,
-    )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    config = lift_to_sphere(sample, args.k, rng)
+    config = lift_to_sphere(ps.points, args.k, rng)
     out = PointSetFile(
         space=SPACE_SPHERE, d=ps.d, seed=seed, points=config.points, k=args.k
     )
@@ -124,14 +114,12 @@ def cmd_energy(args: argparse.Namespace) -> int:
         value = riesz_energy(realify(ps.points), s)
     elif kind == "log":
         value = log_energy(realify(ps.points))
+    elif kind == "projective_riesz":
+        value = projective_riesz_energy(ps.points, s)
+    elif kind == "projective_log":
+        value = projective_log_energy(ps.points)
     else:
-        points = _load_projective_points(ps)
-        if kind == "projective_riesz":
-            value = projective_riesz_energy(points, s)
-        elif kind == "projective_log":
-            value = projective_log_energy(points)
-        else:
-            value = green_energy(points, ps.d)
+        value = green_energy(ps.points, ps.d)
     report = EnergyReport(kind=kind, s=s, value=value, n_points=ps.n)
     sys.stdout.write(dumps(report.to_dict()))
     return 0

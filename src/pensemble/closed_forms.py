@@ -16,6 +16,8 @@ from typing import Optional
 
 from scipy import integrate, special
 
+from .energy import _green_prefactor, green_constant
+
 __all__ = [
     "ExpectedEnergy",
     "BoundConstants",
@@ -235,8 +237,9 @@ def expected_green_energy(d: int, L: int) -> ExpectedEnergy:
     """Expected Green energy of the projective process, d >= 2.
 
     Composes the Riesz expectations at s = 2d-2k and the logarithmic
-    expectation; the r^2 terms cancel exactly, leaving second-order decay
-    -(d!)^(1-1/d) / (4 pi^d (d-1)) * r^(2 - 1/d).
+    expectation with the Green profile's own prefactor and additive constant
+    (from :mod:`pensemble.energy`); the r^2 terms cancel exactly, leaving
+    second-order decay -(d!)^(1-1/d) / (4 pi^d (d-1)) * r^(2 - 1/d).
     """
     _check_d(d, minimum=2)
     _check_L(L)
@@ -244,14 +247,11 @@ def expected_green_energy(d: int, L: int) -> ExpectedEnergy:
     bracket = expected_projective_log(d, L).exact
     for k in range(1, d):
         bracket += expected_projective_riesz(d, L, 2.0 * (d - k)).exact / (2.0 * (d - k))
-    pref = math.exp(math.lgamma(d) - d * math.log(math.pi)) / 2.0
-    harmonic = sum(1.0 / k for k in range(1, d))
-    const = r * (r - 1.0) * (pref / 2.0) * (1.0 / d + 2.0 * harmonic)
     coeff = -math.exp(
         (1.0 - 1.0 / d) * log_gamma(d + 1) - d * math.log(math.pi) - math.log(4.0 * (d - 1))
     )
     return ExpectedEnergy(
-        exact=pref * bracket - const,
+        exact=_green_prefactor(d) * bracket + r * (r - 1.0) * green_constant(d),
         leading_term=0.0,  # the r^2 coefficient cancels exactly
         second_order_coefficient=coeff,
         second_order_exponent=2.0 - 1.0 / d,

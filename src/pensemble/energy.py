@@ -4,18 +4,23 @@ their sin-distance analogues on CP^d, and the zero-mean Green energy on CP^d.
 All energies sum over ordered pairs (every unordered pair counts twice). A
 pair at distance below the coincidence floor makes the energy +inf; callers
 that average over random configurations can discard such draws.
+
+Euclidean energies take (n, dim) real arrays. The projective energies take
+(n, d+1) complex arrays of representatives, one row per point; rows are
+normalised through :func:`pensemble.geometry.unit_rows`, so any non-zero
+representative will do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import ProjectivePoint, inner
+from .geometry import ProjectivePoint, inner, unit_rows
 
 __all__ = [
     "EnergyReport",
@@ -125,15 +130,6 @@ def log_energy(points) -> float:
     )
 
 
-def _projective_matrix(points: Sequence[ProjectivePoint]) -> np.ndarray:
-    if len(points) < 1:
-        raise ValueError("need at least one point")
-    d = points[0].d
-    if any(p.d != d for p in points):
-        raise ValueError("all points must live in the same CP^d")
-    return np.stack([p.coords for p in points])
-
-
 def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:
     overlap = np.clip(np.abs(mat[a:b] @ mat.conj().T), 0.0, 1.0)
     sin = np.sqrt((1.0 - overlap) * (1.0 + overlap))
@@ -141,10 +137,7 @@ def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:
     return sin
 
 
-def _projective_pair_sum(
-    points: Sequence[ProjectivePoint], summand: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    mat = _projective_matrix(points)
+def _projective_pair_sum(mat: np.ndarray, summand: Callable[[np.ndarray], np.ndarray]) -> float:
     if mat.shape[0] < 2:
         return 0.0
     return _blocked_pair_sum(
@@ -154,17 +147,23 @@ def _projective_pair_sum(
     )
 
 
-def projective_riesz_energy(points: Sequence[ProjectivePoint], s: float) -> float:
+def projective_riesz_energy(points, s: float) -> float:
     """Sum of sin(d_FS(x_i, x_j))^(-s) over ordered pairs; requires 0 < s < 2d."""
-    d = points[0].d
+    mat = unit_rows(points)
+    d = mat.shape[1] - 1
     if not 0.0 < s < 2.0 * d:
         raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
-    return _projective_pair_sum(points, lambda dm: dm ** (-s))
+    return _projective_pair_sum(mat, lambda dm: dm ** (-s))
 
 
-def projective_log_energy(points: Sequence[ProjectivePoint]) -> float:
+def projective_log_energy(points) -> float:
     """Sum of log(1/sin(d_FS(x_i, x_j))) over ordered pairs."""
-    return _projective_pair_sum(points, lambda dm: -np.log(dm))
+    return _projective_pair_sum(unit_rows(points), lambda dm: -np.log(dm))
+
+
+def _green_prefactor(d: int) -> float:
+    """(d-1)!/(2 pi^d), the scale of the Green radial profile on CP^d."""
+    return math.exp(math.lgamma(d) - d * math.log(math.pi)) / 2.0
 
 
 def green_constant(d: int) -> float:
@@ -175,8 +174,7 @@ def green_constant(d: int) -> float:
     if d < 2:
         raise ValueError("the Green function is implemented for d >= 2 only")
     harmonic = sum(1.0 / k for k in range(1, d))
-    pref = math.exp(math.lgamma(d) - d * math.log(math.pi)) / 4.0
-    return -pref * (1.0 / d + 2.0 * harmonic)
+    return -0.5 * _green_prefactor(d) * (1.0 / d + 2.0 * harmonic)
 
 
 def _green_phi(d: int, sin_r):
@@ -186,7 +184,7 @@ def _green_phi(d: int, sin_r):
                           - log sin ] + green_constant(d)
     """
     sin_r = np.asarray(sin_r, dtype=np.float64)
-    pref = math.exp(math.lgamma(d) - d * math.log(math.pi)) / 2.0
+    pref = _green_prefactor(d)
     acc = np.zeros_like(sin_r)
     inv_sq = sin_r ** (-2.0)
     power = np.ones_like(sin_r)
@@ -211,10 +209,11 @@ def green_function(d: int, p: ProjectivePoint, q: ProjectivePoint) -> float:
     return float(_green_phi(d, sin_r))
 
 
-def green_energy(points: Sequence[ProjectivePoint], d: int) -> float:
+def green_energy(points, d: int) -> float:
     """Sum of the Green function over ordered pairs of points in CP^d."""
     if d < 2:
         raise ValueError("the Green function is implemented for d >= 2 only")
-    if points[0].d != d:
-        raise ValueError(f"points live in CP^{points[0].d}, expected CP^{d}")
-    return _projective_pair_sum(points, lambda dm: _green_phi(d, dm))
+    mat = unit_rows(points)
+    if mat.shape[1] - 1 != d:
+        raise ValueError(f"points live in CP^{mat.shape[1] - 1}, expected CP^{d}")
+    return _projective_pair_sum(mat, lambda dm: _green_phi(d, dm))

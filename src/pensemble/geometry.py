@@ -17,6 +17,7 @@ __all__ = [
     "PointAtInfinityError",
     "ProjectivePoint",
     "ChartPoint",
+    "unit_rows",
     "inner",
     "fubini_sin_distance",
     "chart_to_projective",
@@ -48,6 +49,25 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def unit_rows(points) -> np.ndarray:
+    """(n, d+1) complex array of unit representatives, one row per point.
+
+    Rows must be finite and non-zero with at least 2 homogeneous coordinates;
+    each is divided by its norm. The phase is whatever the caller supplied.
+    """
+    arr = np.asarray(points, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError(f"points must form a non-empty (n, d+1) array, got shape {arr.shape}")
+    if arr.shape[1] < 2:
+        raise ValueError("a projective point needs at least 2 homogeneous coordinates")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("points must have finite entries")
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("the zero vector has no projective class")
+    return arr / norms
+
+
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hermitian inner product, linear in the first argument: sum a_i * conj(b_i)."""
     return complex(np.vdot(b, a))
@@ -65,13 +85,10 @@ class ProjectivePoint:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_complex_vector(self.coords, "coords")
-        if arr.size < 2:
-            raise ValueError("a projective point needs at least 2 homogeneous coordinates")
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ValueError("the zero vector has no projective class")
-        arr = arr / norm
+        arr = np.asarray(self.coords, dtype=np.complex128)
+        if arr.ndim != 1:
+            raise ValueError(f"coords must be a 1-d vector, got shape {arr.shape}")
+        arr = unit_rows(arr[None, :])[0]
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 

@@ -15,9 +15,11 @@ reproduce has the closed form
 and its pushforward to CP^d through the affine chart has constant diagonal
 r d!/pi^d and magnitude (r d!/pi^d) |<p,q>|^L for unit representatives.
 
-Feature vectors are evaluated incrementally along the graded multi-index
-order, either directly on the rescaled coordinates z/sqrt(1+|z|^2) (all
-factors bounded by 1) or in log-magnitude/phase form for large L.
+The sampler works with the kernel alone: in the Schur complement that sets
+its acceptance ratio, both the constant r d!/pi^d and the unimodular phase
+gauge of the pushforward cancel, so unit representatives only enter through
+<p,q>^L. Feature vectors v(z) are the test oracle for the kernel identity
+<v(z), v(w)> = K(z, w).
 """
 
 from __future__ import annotations
@@ -45,12 +47,7 @@ __all__ = [
     "kernel_eval",
     "projective_kernel_magnitude",
     "joint_intensity_2",
-    "LOG_FORM_MIN_L",
 ]
-
-# Degree at or above which feature vectors switch to the log-magnitude/phase
-# evaluation; direct monomial products stay well scaled below it.
-LOG_FORM_MIN_L = 200
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -81,19 +78,6 @@ def enumerate_multi_indices(d: int, L: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class _BasisTables:
-    """Precomputed evaluation tables along the graded multi-index order."""
-
-    alphas: np.ndarray        # (r, d) int64 exponents
-    degrees: np.ndarray       # (r,) int64 |alpha|
-    parent: np.ndarray        # (r,) index of alpha - e_axis (0 for the constant)
-    axis: np.ndarray          # (r,) coordinate stepped from the parent
-    log_coeff: np.ndarray     # (r,) log C_alpha
-    sqrt_coeff: np.ndarray    # (r,) sqrt(C_alpha)
-    degree_starts: np.ndarray  # (L+2,) block boundaries per degree
-
-
-@dataclass(frozen=True)
 class KernelParams:
     """Immutable parameters (d, L) of the weighted-monomial subspace."""
 
@@ -118,44 +102,15 @@ class KernelParams:
             math.log(self.r) + math.lgamma(self.d + 1) - self.d * math.log(math.pi)
         )
 
-    @cached_property
-    def _tables(self) -> _BasisTables:
-        alphas = enumerate_multi_indices(self.d, self.L)
-        index_of = {a: i for i, a in enumerate(alphas)}
-        r = len(alphas)
-        parent = np.zeros(r, dtype=np.int64)
-        axis = np.zeros(r, dtype=np.int64)
-        log_coeff = np.empty(r)
-        degrees = np.empty(r, dtype=np.int64)
-        base = math.lgamma(self.d + self.L + 1) - self.d * math.log(math.pi)
-        for i, alpha in enumerate(alphas):
-            total = sum(alpha)
-            degrees[i] = total
-            log_coeff[i] = (
-                base
-                - sum(math.lgamma(a + 1) for a in alpha)
-                - math.lgamma(self.L - total + 1)
-            )
-            if total > 0:
-                j = next(k for k, a in enumerate(alpha) if a > 0)
-                down = list(alpha)
-                down[j] -= 1
-                parent[i] = index_of[tuple(down)]
-                axis[i] = j
-        degree_starts = np.searchsorted(degrees, np.arange(self.L + 2))
-        tables = _BasisTables(
-            alphas=np.asarray(alphas, dtype=np.int64),
-            degrees=degrees,
-            parent=parent,
-            axis=axis,
-            log_coeff=log_coeff,
-            sqrt_coeff=np.exp(0.5 * log_coeff),
-            degree_starts=degree_starts,
-        )
-        for arr in (tables.alphas, tables.degrees, tables.parent, tables.axis,
-                    tables.log_coeff, tables.sqrt_coeff, tables.degree_starts):
-            arr.setflags(write=False)
-        return tables
+
+def _log_coefficient(alpha: tuple[int, ...], params: KernelParams) -> float:
+    """log C_alpha through log-gamma, so large d and L stay in range."""
+    return (
+        math.lgamma(params.d + params.L + 1)
+        - sum(math.lgamma(a + 1) for a in alpha)
+        - math.lgamma(params.L - sum(alpha) + 1)
+        - params.d * math.log(math.pi)
+    )
 
 
 def basis_coefficient(alpha: Sequence[int], params: KernelParams) -> float:
@@ -168,73 +123,26 @@ def basis_coefficient(alpha: Sequence[int], params: KernelParams) -> float:
     total = sum(alpha)
     if total > params.L:
         raise ValueError(f"sum(alpha)={total} exceeds the degree bound L={params.L}")
-    log_c = (
-        math.lgamma(params.d + params.L + 1)
-        - sum(math.lgamma(a + 1) for a in alpha)
-        - math.lgamma(params.L - total + 1)
-        - params.d * math.log(math.pi)
-    )
-    return math.exp(log_c)
+    return math.exp(_log_coefficient(alpha, params))
 
 
-def _feature_scaled(
-    zhat: np.ndarray, log_one_plus_sq: float, params: KernelParams, method: str
-) -> np.ndarray:
-    """Feature vector from zhat = z/sqrt(1+|z|^2) and log(1+|z|^2)."""
-    if method == "auto":
-        method = "log" if params.L >= LOG_FORM_MIN_L else "direct"
-    if method not in ("direct", "log"):
-        raise ValueError(f"unknown feature evaluation method {method!r}")
-    t = params._tables
-    r = params.r
-    # (1+|z|^2)^((deg - d - L - 1)/2), always <= 1.
-    shift = 0.5 * (t.degrees - (params.d + params.L + 1)) * log_one_plus_sq
-    starts = t.degree_starts
-    if method == "direct":
-        mon = np.empty(r, dtype=np.complex128)
-        mon[0] = 1.0
-        for degree in range(1, params.L + 1):
-            blk = slice(starts[degree], starts[degree + 1])
-            mon[blk] = mon[t.parent[blk]] * zhat[t.axis[blk]]
-        return t.sqrt_coeff * mon * np.exp(shift)
-    with np.errstate(divide="ignore"):
-        log_mod = np.log(np.abs(zhat))  # -inf at zero coordinates is fine
-    ang = np.angle(zhat)
-    log_mag = np.empty(r)
-    phase = np.empty(r)
-    log_mag[0] = 0.0
-    phase[0] = 0.0
-    for degree in range(1, params.L + 1):
-        blk = slice(starts[degree], starts[degree + 1])
-        log_mag[blk] = log_mag[t.parent[blk]] + log_mod[t.axis[blk]]
-        phase[blk] = phase[t.parent[blk]] + ang[t.axis[blk]]
-    return np.exp(0.5 * t.log_coeff + log_mag + shift) * np.exp(1j * phase)
-
-
-def _feature_from_unit(coords: np.ndarray, params: KernelParams, method: str = "auto") -> np.ndarray:
-    """Feature vector at the chart image of a unit representative in C^(d+1).
-
-    Avoids forming z = p_{2:}/p_1 explicitly: with a = |p_1| the rescaled
-    chart coordinates are p_{2:} * conj(p_1)/a and 1+|z|^2 = 1/a^2.
-    """
-    p0 = coords[0]
-    a = abs(p0)
-    zhat = coords[1:] * (a / p0)
-    return _feature_scaled(zhat, -2.0 * math.log(a), params, method)
-
-
-def feature_vector(z: ChartPoint, params: KernelParams, method: str = "auto") -> np.ndarray:
+def feature_vector(z: ChartPoint, params: KernelParams) -> np.ndarray:
     """Values of all r basis functions at z, ordered like enumerate_multi_indices.
 
-    ``method`` selects the evaluation path: "direct" (rescaled monomial
-    products), "log" (log-magnitude/phase), or "auto" (log for L >= 200).
+    Evaluated on the rescaled coordinates zhat = z/sqrt(1+|z|^2) as
+    sqrt(C_alpha) zhat^alpha (1+|z|^2)^((|alpha| - d - L - 1)/2), where every
+    factor but the coefficient is bounded by 1.
     """
     if z.d != params.d:
         raise DimensionMismatchError(f"chart point has dimension {z.d}, expected {params.d}")
-    s2 = z.squared_norm()
-    log1p = math.log1p(s2)
+    alphas = enumerate_multi_indices(params.d, params.L)
+    log1p = math.log1p(z.squared_norm())
     zhat = z.z * math.exp(-0.5 * log1p)
-    return _feature_scaled(zhat, log1p, params, method)
+    log_scale = np.array([
+        0.5 * _log_coefficient(a, params) + 0.5 * (sum(a) - params.d - params.L - 1) * log1p
+        for a in alphas
+    ])
+    return np.exp(log_scale) * np.prod(zhat ** np.array(alphas), axis=1)
 
 
 def kernel_eval(z: ChartPoint, w: ChartPoint, params: KernelParams) -> complex:

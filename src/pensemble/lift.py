@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import unit_rows
 from .sampler import ProjectiveSample
 
 __all__ = ["SphereConfiguration", "lift_to_sphere", "realify"]
@@ -29,7 +30,6 @@ class SphereConfiguration:
 
     points: np.ndarray
     k: int
-    source: ProjectiveSample
     phases: np.ndarray
 
     @property
@@ -42,20 +42,25 @@ class SphereConfiguration:
 
 
 def lift_to_sphere(
-    sample: ProjectiveSample, k: int, rng: np.random.Generator
+    sample: ProjectiveSample | np.ndarray, k: int, rng: np.random.Generator
 ) -> SphereConfiguration:
-    """Lift every projective point to k phase-equispaced sphere points."""
+    """Lift every projective point to k phase-equispaced sphere points.
+
+    Accepts a ProjectiveSample or any (r, d+1) array of representatives;
+    rows are normalised first.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    r = len(sample.points)
+    matrix = unit_rows(sample.points if isinstance(sample, ProjectiveSample) else sample)
+    r = matrix.shape[0]
     phases = rng.uniform(0.0, 2.0 * math.pi, size=r)
     offsets = 2.0 * math.pi * np.arange(k) / k
     factors = np.exp(1j * (phases[:, None] + offsets[None, :]))  # (r, k)
-    lifted = factors[:, :, None] * sample.matrix[:, None, :]     # (r, k, d+1)
+    lifted = factors[:, :, None] * matrix[:, None, :]            # (r, k, d+1)
     pts = lifted.reshape(r * k, -1)
     pts.setflags(write=False)
     phases.setflags(write=False)
-    return SphereConfiguration(points=pts, k=k, source=sample, phases=phases)
+    return SphereConfiguration(points=pts, k=k, phases=phases)
 
 
 def realify(config: SphereConfiguration | np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,10 +30,9 @@ from .energy import (
     projective_riesz_energy,
     riesz_energy,
 )
-from .geometry import ProjectivePoint
 from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
-from .sampler import ProjectiveSample, _sample_points, derive_trial_rng
+from .sampler import _sample_points, derive_trial_rng
 
 __all__ = [
     "EnergySpec",
@@ -176,20 +174,13 @@ def default_energy_specs(d: int, k: int) -> tuple[EnergySpec, ...]:
     return tuple(specs)
 
 
-@lru_cache(maxsize=None)
-def _cached_params(d: int, L: int) -> KernelParams:
-    return KernelParams(d, L)
-
-
 def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
-    params = _cached_params(config.d, config.L)
     rng = derive_trial_rng(config.master_seed, trial_index)
-    matrix, _ = _sample_points(params, rng, config.max_rejections_per_point)
-    points = tuple(ProjectivePoint(row) for row in matrix)
+    params = KernelParams(config.d, config.L)
+    points, _ = _sample_points(params, rng, config.max_rejections_per_point)
     lifted_real = None
     if config.k >= 1:
-        sample = ProjectiveSample(points=points, params=params, seed=config.master_seed)
-        lifted_real = realify(lift_to_sphere(sample, config.k, rng))
+        lifted_real = realify(lift_to_sphere(points, config.k, rng))
     out = np.empty(len(config.energies))
     for i, spec in enumerate(config.energies):
         if spec.kind == "projective_riesz":

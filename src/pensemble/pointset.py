@@ -116,8 +116,13 @@ def pointset_to_json(ps: PointSetFile) -> str:
     return dumps(doc)
 
 
+def _parse_int(token: str):
+    # format_float writes -0.0 as "-0", an integer token; keep its sign bit.
+    return -0.0 if token == "-0" else int(token)
+
+
 def pointset_from_json(text: str) -> PointSetFile:
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=_parse_int)
     for key in ("space", "d", "seed", "points"):
         if key not in doc:
             raise ValueError(f"point-set file is missing the {key!r} field")

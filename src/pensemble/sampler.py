@@ -1,22 +1,28 @@
 """Exact sampling of the projection-kernel determinantal process on CP^d.
 
-Sequential rejection sampler: the one-point intensity of the process is
-constant on CP^d, so uniform points are valid proposals with acceptance
-ratio |v(q) - proj_U v(q)|^2 / |v(q)|^2, where U is an orthonormal basis of
-the feature-space directions of the points already selected. Each accepted
-residual extends U, and the expected acceptance rate at step i is (r-i)/r.
+Chain-rule rejection sampler (Hough, Krishnapur, Peres, Virag 2006, Alg. 18):
+the one-point intensity of the process is constant on CP^d, so uniform
+points are valid proposals. With p_1..p_i selected, a proposal x is accepted
+with probability equal to the Schur complement
+
+    1 - k_x^H G_i^{-1} k_x,   k_x[j] = <p_j, x>^L,   G_i[j, l] = <p_j, p_l>^L,
+
+the conditional intensity at x divided by the constant r d!/pi^d. That
+constant and the kernel's phase gauge cancel in the ratio, so no feature
+vectors are needed. G_i^{-1} enters through the lower-triangular inverse
+Cholesky factor W_i (G_i^{-1} = W_i^H W_i), which grows by one row per
+accepted point. The expected acceptance rate at step i is (r-i)/r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import ProjectivePoint
-from .kernel import KernelParams, _feature_from_unit
+from .kernel import KernelParams
 
 __all__ = [
     "SamplerConfig",
@@ -58,22 +64,23 @@ class SamplerConfig:
 class ProjectiveSample:
     """An exact draw of r points in CP^d plus generation metadata.
 
-    ``proposals_per_step`` records how many uniform proposals each selection
-    step consumed (diagnostics; the acceptance rate of step i should hover
-    around (r-i)/r).
+    ``points`` is the read-only (r, d+1) array of unit representatives, row i
+    = point i; ``matrix`` is the same array. ``proposals_per_step`` records
+    how many uniform proposals each selection step consumed (diagnostics; the
+    acceptance rate of step i should hover around (r-i)/r).
     """
 
-    points: tuple[ProjectivePoint, ...]
+    points: np.ndarray
     params: KernelParams
     seed: int
     proposals_per_step: tuple[int, ...] = field(default=(), repr=False)
 
-    @cached_property
+    def __post_init__(self) -> None:
+        self.points.setflags(write=False)
+
+    @property
     def matrix(self) -> np.ndarray:
-        """(r, d+1) array of unit representatives, row i = point i."""
-        m = np.stack([p.coords for p in self.points])
-        m.setflags(write=False)
-        return m
+        return self.points
 
 
 def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,53 +100,32 @@ def sample_uniform_cp(d: int, rng: np.random.Generator) -> ProjectivePoint:
     return ProjectivePoint(_uniform_unit_vector(d, rng))
 
 
-def _orthogonal_residual(
-    v: np.ndarray, basis: np.ndarray, vnorm2: float
-) -> tuple[np.ndarray, float]:
-    """Modified Gram-Schmidt residual of v against the rows of ``basis``.
-
-    One re-orthogonalization pass runs when the residual norm drops below
-    1/sqrt(2) of the pre-projection norm.
-    """
-    w = v.copy()
-    for u in basis:
-        w -= np.vdot(u, w) * u
-    n2 = float(np.real(np.vdot(w, w)))
-    if basis.shape[0] and n2 < 0.5 * vnorm2:
-        for u in basis:
-            w -= np.vdot(u, w) * u
-        n2 = float(np.real(np.vdot(w, w)))
-    return w, n2
-
-
 def _sample_points(
     params: KernelParams, rng: np.random.Generator, max_rejections: int
 ) -> tuple[np.ndarray, list[int]]:
     """Core sequential sampler; returns (r, d+1) representatives and proposal counts."""
-    d, r = params.d, params.r
-    basis = np.empty((r, r), dtype=np.complex128)
+    d, L, r = params.d, params.L, params.r
     points = np.empty((r, d + 1), dtype=np.complex128)
+    inv_chol = np.zeros((r, r), dtype=np.complex128)  # W, lower triangular
     proposals: list[int] = []
-    selected = 0
-    while selected < r:
+    for i in range(r):
+        w = inv_chol[:i, :i]
         tries = 0
         while True:
             tries += 1
             if tries > max_rejections:
                 raise RejectionBudgetExceededError(
-                    f"point {selected}: no acceptance within {max_rejections} proposals"
+                    f"point {i}: no acceptance within {max_rejections} proposals"
                 )
             cand = _uniform_unit_vector(d, rng)
-            if cand[0] == 0.0:  # measure-zero chart boundary
-                continue
-            v = _feature_from_unit(cand, params)
-            vnorm2 = float(np.real(np.vdot(v, v)))
-            w, wnorm2 = _orthogonal_residual(v, basis[:selected], vnorm2)
-            if rng.random() < min(wnorm2 / vnorm2, 1.0):
-                basis[selected] = w / math.sqrt(wnorm2)
-                points[selected] = cand
+            y = w @ (points[:i] @ cand.conj()) ** L
+            residual = 1.0 - np.vdot(y, y).real
+            if rng.random() < residual:
+                delta = math.sqrt(residual)
+                inv_chol[i, :i] = -(y.conj() @ w) / delta
+                inv_chol[i, i] = 1.0 / delta
+                points[i] = cand
                 proposals.append(tries)
-                selected += 1
                 break
     return points, proposals
 
@@ -157,9 +143,8 @@ def sample_projective_ensemble(config: SamplerConfig) -> ProjectiveSample:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     matrix, proposals = _sample_points(config.params, rng, config.max_rejections_per_point)
     _assert_no_coincidence(matrix)
-    points = tuple(ProjectivePoint(row) for row in matrix)
     return ProjectiveSample(
-        points=points,
+        points=matrix,
         params=config.params,
         seed=config.seed,
         proposals_per_step=tuple(proposals),

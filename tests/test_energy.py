@@ -111,6 +111,10 @@ def test_energies_permutation_invariant():
 
 # ----------------------------------------------------------------- projective
 
+def _matrix(points):
+    return np.stack([p.coords for p in points])
+
+
 def _orthogonal_pair(d=2):
     p = np.zeros(d + 1, dtype=complex)
     p[0] = 1.0
@@ -122,39 +126,37 @@ def _orthogonal_pair(d=2):
 def test_projective_riesz_orthogonal_pair():
     p, q = _orthogonal_pair()
     for s in (0.5, 1.0, 3.0):
-        assert projective_riesz_energy([p, q], s) == pytest.approx(2.0, rel=1e-14)
+        assert projective_riesz_energy(_matrix([p, q]), s) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_projective_riesz_half_squared_overlap():
-    p = ProjectivePoint(np.array([1.0, 0.0, 0.0]))
-    q = ProjectivePoint(np.array([1.0, 1.0, 0.0]))  # |<p,q>|^2 = 1/2
-    assert projective_riesz_energy([p, q], 2.0) == pytest.approx(4.0, rel=1e-13)
+    pts = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])  # |<p,q>|^2 = 1/2
+    assert projective_riesz_energy(pts, 2.0) == pytest.approx(4.0, rel=1e-13)
 
 
 def test_projective_riesz_single_point_and_range():
     p, q = _orthogonal_pair(d=1)
-    assert projective_riesz_energy([p], 1.0) == 0.0
+    assert projective_riesz_energy(_matrix([p]), 1.0) == 0.0
     with pytest.raises(ValueError):
-        projective_riesz_energy([p, q], 2.0)  # s must be < 2d = 2
+        projective_riesz_energy(_matrix([p, q]), 2.0)  # s must be < 2d = 2
     with pytest.raises(ValueError):
-        projective_riesz_energy([p, q], 0.0)
+        projective_riesz_energy(_matrix([p, q]), 0.0)
 
 
 def test_projective_riesz_coincident_flag():
-    p = ProjectivePoint(np.array([1.0, 1.0j]))
-    q = ProjectivePoint(np.exp(0.4j) * p.coords)
-    assert math.isinf(projective_riesz_energy([p, q], 1.0))
+    p = np.array([1.0, 1.0j])
+    assert math.isinf(projective_riesz_energy(np.stack([p, np.exp(0.4j) * p]), 1.0))
 
 
 def test_projective_log_examples():
     p, q = _orthogonal_pair()
-    assert projective_log_energy([p, q]) == pytest.approx(0.0, abs=1e-14)
+    assert projective_log_energy(_matrix([p, q])) == pytest.approx(0.0, abs=1e-14)
     # a pair with sin distance exactly 1/2, i.e. |<a,b>|^2 = 3/4
     a = ProjectivePoint(np.array([1.0, 0.0]))
     b = ProjectivePoint(np.array([math.sqrt(3.0), 1.0]))
     assert fubini_sin_distance(a, b) == pytest.approx(0.5, rel=1e-12)
-    assert projective_log_energy([a, b]) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-    assert projective_log_energy([p]) == 0.0
+    assert projective_log_energy(_matrix([a, b])) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    assert projective_log_energy(_matrix([p])) == 0.0
 
 
 @given(projective_points(d=2), projective_points(d=2), projective_points(d=2))
@@ -164,14 +166,15 @@ def test_projective_energies_phase_and_unitary_invariant(p, q, w):
     pts = [p, q, w]
     sins = [fubini_sin_distance(a, b) for a in pts for b in pts if a is not b]
     assume(min(sins) > 1e-3)
-    base = projective_riesz_energy(pts, 1.5)
-    rotated = [ProjectivePoint(np.exp(1j * i) * x.coords) for i, x in enumerate(pts)]
+    mat = _matrix(pts)
+    base = projective_riesz_energy(mat, 1.5)
+    rotated = np.exp(1j * np.arange(3))[:, None] * mat
     assert projective_riesz_energy(rotated, 1.5) == pytest.approx(base, rel=1e-10)
     u = random_unitary(3, np.random.default_rng(0))
-    moved = [ProjectivePoint(u @ x.coords) for x in pts]
+    moved = mat @ u.T
     assert projective_riesz_energy(moved, 1.5) == pytest.approx(base, rel=1e-9)
     assert projective_log_energy(moved) == pytest.approx(
-        projective_log_energy(pts), rel=1e-9, abs=1e-9
+        projective_log_energy(mat), rel=1e-9, abs=1e-9
     )
 
 
@@ -198,8 +201,8 @@ def test_green_function_symmetric_and_guards():
 
 def test_green_energy_two_orthogonal_points():
     p, q = _orthogonal_pair()
-    assert green_energy([p, q], 2) == pytest.approx(-3.0 / (4.0 * math.pi**2), rel=1e-13)
-    assert green_energy([p], 2) == 0.0
+    assert green_energy(_matrix([p, q]), 2) == pytest.approx(-3.0 / (4.0 * math.pi**2), rel=1e-13)
+    assert green_energy(_matrix([p]), 2) == 0.0
 
 
 def test_green_energy_matches_pairwise_green_function():
@@ -211,7 +214,7 @@ def test_green_energy_matches_pairwise_green_function():
     brute = sum(
         green_function(2, a, b) for a in pts for b in pts if a is not b
     )
-    assert green_energy(pts, 2) == pytest.approx(brute, rel=1e-11)
+    assert green_energy(_matrix(pts), 2) == pytest.approx(brute, rel=1e-11)
 
 
 def test_projective_riesz_matches_pairwise_distances():
@@ -223,7 +226,7 @@ def test_projective_riesz_matches_pairwise_distances():
     brute = sum(
         fubini_sin_distance(a, b) ** (-1.3) for a in pts for b in pts if a is not b
     )
-    assert projective_riesz_energy(pts, 1.3) == pytest.approx(brute, rel=1e-10)
+    assert projective_riesz_energy(_matrix(pts), 1.3) == pytest.approx(brute, rel=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -68,6 +68,17 @@ def test_pointset_round_trip_is_bit_exact(row):
     assert back.space == "CP" and back.d == 2 and back.L == 1 and back.seed == 9
 
 
+def test_pointset_round_trip_keeps_negative_zero():
+    pts = np.array([[complex(-0.0, 0.5), complex(1.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    ps = PointSetFile(space="CP", d=1, seed=2**64 - 1, points=pts, L=1)
+    text = pointset_to_json(ps)
+    back = pointset_from_json(text)
+    assert np.array_equal(np.signbit(back.points.real), np.signbit(pts.real))
+    assert np.array_equal(np.signbit(back.points.imag), np.signbit(pts.imag))
+    assert pointset_to_json(back) == text
+    assert back.seed == 2**64 - 1
+
+
 def test_pointset_file_io(tmp_path):
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

@@ -6,12 +6,16 @@ from scipy import stats
 
 from pensemble import (
     KernelParams,
+    ProjectivePoint,
     RejectionBudgetExceededError,
     SamplerConfig,
     derive_trial_rng,
+    feature_vector,
+    projective_to_chart,
     sample_projective_ensemble,
     sample_uniform_cp,
 )
+from pensemble.sampler import _sample_points, _uniform_unit_vector
 
 KS_ALPHA = 1e-3
 
@@ -59,7 +63,7 @@ def test_L0_sample_is_one_uniform_point():
     assert res.pvalue > KS_ALPHA
 
 
-@pytest.mark.parametrize("d,L", [(1, 1), (1, 3), (2, 1), (2, 2)])
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 3), (2, 1), (2, 2), (1, 200)])
 def test_sample_cardinality_and_norms(d, L):
     params = KernelParams(d, L)
     s = sample_projective_ensemble(SamplerConfig(params=params, seed=5))
@@ -99,12 +103,41 @@ def test_acceptance_rate_tracks_residual_trace():
 
 
 def test_larger_rank_sample_completes_with_distinct_points():
-    params = KernelParams(1, 20)  # r = 21, late steps re-orthogonalize often
+    params = KernelParams(1, 20)  # r = 21, late steps accept rarely
     s = sample_projective_ensemble(SamplerConfig(params=params, seed=303))
     assert len(s.points) == 21
     gram = np.abs(s.matrix @ s.matrix.conj().T)
     np.fill_diagonal(gram, 0.0)
     assert gram.max() < 1.0 - 1e-12
+
+
+def _reference_sample(params, rng):
+    # Feature-space Gram-Schmidt: accept x with probability |v - proj_U v|^2 / |v|^2.
+    basis, points, proposals = [], [], []
+    while len(points) < params.r:
+        tries = 0
+        while True:
+            tries += 1
+            x = _uniform_unit_vector(params.d, rng)
+            v = feature_vector(projective_to_chart(ProjectivePoint(x)), params)
+            w = v - sum((np.vdot(u, v) * u for u in basis), np.zeros_like(v))
+            ratio = np.vdot(w, w).real / np.vdot(v, v).real
+            if rng.random() < ratio:
+                basis.append(w / math.sqrt(np.vdot(w, w).real))
+                points.append(x)
+                proposals.append(tries)
+                break
+    return np.array(points), proposals
+
+
+@pytest.mark.parametrize("d,L", [(1, 3), (2, 2), (2, 5), (3, 2)])
+def test_kernel_chain_rule_matches_feature_space_reference(d, L):
+    params = KernelParams(d, L)
+    for index in range(3):
+        points, proposals = _sample_points(params, derive_trial_rng(31, index), 10_000_000)
+        ref_points, ref_proposals = _reference_sample(params, derive_trial_rng(31, index))
+        assert proposals == ref_proposals
+        assert np.array_equal(points, ref_points)
 
 
 def test_rejection_budget_raises():
@@ -121,8 +154,6 @@ def test_one_point_intensity_matches_uniform_two_sample_ks():
     pooled = []
     for index in range(samples):
         rng = derive_trial_rng(909, index)
-        from pensemble.sampler import _sample_points
-
         matrix, _ = _sample_points(params, rng, 10_000_000)
         pooled.append(_chart_radial_stat(matrix))
     pooled = np.concatenate(pooled)
@@ -147,7 +178,6 @@ def test_derive_trial_rng_streams_differ():
 
 def test_trials_independent_of_execution_order():
     params = KernelParams(1, 1)
-    from pensemble.sampler import _sample_points
 
     def run(index):
         rng = derive_trial_rng(55, index)
