@@ -46,18 +46,18 @@ from .pointset import (
     pointset_to_json,
     read_pointset,
 )
-from .sampler import SamplerConfig, sample_projective_ensemble
+from .sampler import SamplerConfig, _check_seed, sample_projective_ensemble
 
 SEED_ENV_VAR = "PENSEMBLE_SEED"
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    raise ValueError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
+    if value is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            raise ValueError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
+        value = int(env)
+    return _check_seed(value)
 
 
 def _write_text(path: Optional[str], text: str) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from scipy import integrate, special
 
-from .energy import _green_prefactor, green_constant
+from .energy import _green_combination
 
 __all__ = [
     "ExpectedEnergy",
@@ -236,22 +236,25 @@ def expected_sphere_2energy_exact(d: int, L: int, k: int) -> ExpectedEnergy:
 def expected_green_energy(d: int, L: int) -> ExpectedEnergy:
     """Expected Green energy of the projective process, d >= 2.
 
-    Composes the Riesz expectations at s = 2d-2k and the logarithmic
-    expectation with the Green profile's own prefactor and additive constant
-    (from :mod:`pensemble.energy`); the r^2 terms cancel exactly, leaving
+    Composes the Riesz expectations at s = 2, 4, ..., 2d-2 and the logarithmic
+    expectation by the same combination that builds the Green function and
+    energy in :mod:`pensemble.energy`; the r^2 terms cancel exactly, leaving
     second-order decay -(d!)^(1-1/d) / (4 pi^d (d-1)) * r^(2 - 1/d).
     """
     _check_d(d, minimum=2)
     _check_L(L)
     r = _r_of(d, L)
-    bracket = expected_projective_log(d, L).exact
-    for k in range(1, d):
-        bracket += expected_projective_riesz(d, L, 2.0 * (d - k)).exact / (2.0 * (d - k))
+    exact = _green_combination(
+        d,
+        expected_projective_log(d, L).exact,
+        lambda s: expected_projective_riesz(d, L, s).exact,
+        r * (r - 1.0),
+    )
     coeff = -math.exp(
         (1.0 - 1.0 / d) * log_gamma(d + 1) - d * math.log(math.pi) - math.log(4.0 * (d - 1))
     )
     return ExpectedEnergy(
-        exact=_green_prefactor(d) * bracket + r * (r - 1.0) * green_constant(d),
+        exact=exact,
         leading_term=0.0,  # the r^2 coefficient cancels exactly
         second_order_coefficient=coeff,
         second_order_exponent=2.0 - 1.0 / d,

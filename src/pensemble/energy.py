@@ -29,6 +29,7 @@ __all__ = [
     "log_energy",
     "projective_riesz_energy",
     "projective_log_energy",
+    "projective_pair_sums",
     "green_function",
     "green_energy",
     "green_constant",
@@ -73,26 +74,29 @@ class EnergyReport:
 def _blocked_pair_sum(
     n: int,
     distance_block: Callable[[int, int], np.ndarray],
-    summand: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Sum summand(distance) over ordered pairs i != j, blocked by rows.
+    summands: list[Callable[[np.ndarray], np.ndarray]],
+) -> list[float]:
+    """Sum each summand(distance) over ordered pairs i != j, blocked by rows.
 
-    Block partial sums are combined with exact compensated summation, so the
-    result does not depend on the block schedule and stays accurate for the
-    n^2 mixed-magnitude terms that show up past ~1e4 points.
+    Every block of distances is formed and checked for coincidence once, then
+    shared by all summands; one coincident pair makes every sum +inf. Block
+    partial sums are combined with exact compensated summation, so the result
+    does not depend on the block schedule and stays accurate for the n^2
+    mixed-magnitude terms that show up past ~1e4 points.
     """
-    partials: list[float] = []
+    partials: list[list[float]] = [[] for _ in summands]
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         dists = distance_block(start, stop)
         rows = np.arange(stop - start)
         dists[rows, start + rows] = 1.0  # neutral placeholder on the diagonal
         if np.any(dists < COINCIDENCE_FLOOR):
-            return math.inf
-        vals = summand(dists)
-        vals[rows, start + rows] = 0.0
-        partials.append(float(np.sum(vals)))
-    return math.fsum(partials)
+            return [math.inf] * len(summands)
+        for summand, acc in zip(summands, partials):
+            vals = summand(dists)
+            vals[rows, start + rows] = 0.0
+            acc.append(float(np.sum(vals)))
+    return [math.fsum(acc) for acc in partials]
 
 
 def _as_point_matrix(points) -> np.ndarray:
@@ -101,6 +105,8 @@ def _as_point_matrix(points) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must form a non-empty (n, dim) array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must have finite entries")
     return pts
 
 
@@ -109,25 +115,21 @@ def riesz_energy(points, s: float) -> float:
     if not s > 0:
         raise ValueError("s must be positive")
     pts = _as_point_matrix(points)
-    if pts.shape[0] < 2:
-        return 0.0
     return _blocked_pair_sum(
         pts.shape[0],
         lambda a, b: cdist(pts[a:b], pts),
-        lambda dm: dm ** (-s),
-    )
+        [lambda dm: dm ** (-s)],
+    )[0]
 
 
 def log_energy(points) -> float:
     """Sum of log(1/|x_i - x_j|) over ordered pairs of Euclidean points."""
     pts = _as_point_matrix(points)
-    if pts.shape[0] < 2:
-        return 0.0
     return _blocked_pair_sum(
         pts.shape[0],
         lambda a, b: cdist(pts[a:b], pts),
-        lambda dm: -np.log(dm),
-    )
+        [lambda dm: -np.log(dm)],
+    )[0]
 
 
 def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -137,28 +139,36 @@ def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:
     return sin
 
 
-def _projective_pair_sum(mat: np.ndarray, summand: Callable[[np.ndarray], np.ndarray]) -> float:
-    if mat.shape[0] < 2:
-        return 0.0
-    return _blocked_pair_sum(
-        mat.shape[0],
-        lambda a, b: _sin_distance_block(mat, a, b),
-        summand,
+def projective_pair_sums(points, s_values) -> tuple[dict[float, float], float]:
+    """Ordered-pair sums of sin(d_FS)^(-s), one per s in s_values, and of
+    -log sin(d_FS), all from one pass over the sin-distance matrix.
+
+    Returns ({s: sum}, log_sum). Each s must lie in (0, 2d); a coincident
+    pair makes every sum +inf.
+    """
+    mat = unit_rows(points)
+    d = mat.shape[1] - 1
+    s_values = list(dict.fromkeys(float(s) for s in s_values))
+    for s in s_values:
+        if not 0.0 < s < 2.0 * d:
+            raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
+    summands = [lambda dm, s=s: dm ** (-s) for s in s_values]
+    summands.append(lambda dm: -np.log(dm))
+    *riesz, log = _blocked_pair_sum(
+        mat.shape[0], lambda a, b: _sin_distance_block(mat, a, b), summands
     )
+    return dict(zip(s_values, riesz)), log
 
 
 def projective_riesz_energy(points, s: float) -> float:
     """Sum of sin(d_FS(x_i, x_j))^(-s) over ordered pairs; requires 0 < s < 2d."""
-    mat = unit_rows(points)
-    d = mat.shape[1] - 1
-    if not 0.0 < s < 2.0 * d:
-        raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
-    return _projective_pair_sum(mat, lambda dm: dm ** (-s))
+    riesz, _ = projective_pair_sums(points, (s,))
+    return riesz[s]
 
 
 def projective_log_energy(points) -> float:
     """Sum of log(1/sin(d_FS(x_i, x_j))) over ordered pairs."""
-    return _projective_pair_sum(unit_rows(points), lambda dm: -np.log(dm))
+    return projective_pair_sums(points, ())[1]
 
 
 def _green_prefactor(d: int) -> float:
@@ -177,21 +187,32 @@ def green_constant(d: int) -> float:
     return -0.5 * _green_prefactor(d) * (1.0 / d + 2.0 * harmonic)
 
 
-def _green_phi(d: int, sin_r):
-    """Green radial profile as a function of sin(d_FS), vectorized.
+def _green_s_values(d: int) -> tuple[float, ...]:
+    """The Riesz exponents s = 2d-2, ..., 4, 2 that enter the Green profile."""
+    return tuple(2.0 * j for j in range(d - 1, 0, -1))
 
-    ((d-1)!/(2 pi^d)) * [ (1/2) sum_{k=1}^{d-1} sin^( -(2d-2k) )/(d-k)
-                          - log sin ] + green_constant(d)
+
+def _green_combination(d: int, log_term, riesz_term: Callable, pairs):
+    """The Green profile composed from sin-distance log and Riesz terms:
+
+    ((d-1)!/(2 pi^d)) * [ log_term + sum_{j=1}^{d-1} riesz_term(2j)/(2j) ]
+                      + pairs * green_constant(d),
+
+    with riesz_term(s) the s-term. On one pair's -log sin and sin^(-s) with
+    pairs = 1 this is the Green function; on ordered-pair sums with
+    pairs = n(n-1) it is the Green energy; on expected sums it is the
+    expected Green energy.
     """
+    bracket = log_term
+    for s in _green_s_values(d):
+        bracket = bracket + riesz_term(s) / s
+    return _green_prefactor(d) * bracket + pairs * green_constant(d)
+
+
+def _green_phi(d: int, sin_r):
+    """Green radial profile as a function of sin(d_FS), vectorized."""
     sin_r = np.asarray(sin_r, dtype=np.float64)
-    pref = _green_prefactor(d)
-    acc = np.zeros_like(sin_r)
-    inv_sq = sin_r ** (-2.0)
-    power = np.ones_like(sin_r)
-    for k in range(d - 1, 0, -1):  # ascending powers of 1/sin^2
-        power = power * inv_sq
-        acc += power / (d - k)
-    return pref * (0.5 * acc - np.log(sin_r)) + green_constant(d)
+    return _green_combination(d, -np.log(sin_r), lambda s: sin_r ** (-s), 1)
 
 
 def green_function(d: int, p: ProjectivePoint, q: ProjectivePoint) -> float:
@@ -213,7 +234,9 @@ def green_energy(points, d: int) -> float:
     """Sum of the Green function over ordered pairs of points in CP^d."""
     if d < 2:
         raise ValueError("the Green function is implemented for d >= 2 only")
-    mat = unit_rows(points)
-    if mat.shape[1] - 1 != d:
-        raise ValueError(f"points live in CP^{mat.shape[1] - 1}, expected CP^{d}")
-    return _projective_pair_sum(mat, lambda dm: _green_phi(d, dm))
+    shape = np.shape(points)
+    if len(shape) == 2 and shape[1] - 1 != d:
+        raise ValueError(f"points live in CP^{shape[1] - 1}, expected CP^{d}")
+    riesz, log = projective_pair_sums(points, _green_s_values(d))
+    n = shape[0]
+    return _green_combination(d, log, riesz.__getitem__, n * (n - 1))

@@ -25,14 +25,14 @@ from .closed_forms import (
     expected_sphere_2energy_exact,
 )
 from .energy import (
-    green_energy,
-    projective_log_energy,
-    projective_riesz_energy,
+    _green_combination,
+    _green_s_values,
+    projective_pair_sums,
     riesz_energy,
 )
 from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
-from .sampler import _sample_points, derive_trial_rng
+from .sampler import MAX_REJECTIONS_PER_POINT, _sample_points, derive_trial_rng
 
 __all__ = [
     "EnergySpec",
@@ -75,9 +75,6 @@ class ExperimentConfig:
     energies: tuple[EnergySpec, ...]
     trials: int
     master_seed: int
-    estimator: str = "auto"  # auto | mean | median_of_means
-    mom_blocks: int = _MOM_BLOCKS
-    max_rejections_per_point: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.L < 1 or self.k < 0:
@@ -86,10 +83,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 2 so the standard error is defined")
         if not self.energies:
             raise ValueError("at least one energy spec is required")
-        if self.estimator not in ("auto", "mean", "median_of_means"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.mom_blocks < 2:
-            raise ValueError("median-of-means needs at least 2 blocks")
         for spec in self.energies:
             if spec.kind == "projective_riesz" and not 0.0 < spec.s < 2.0 * self.d:
                 raise ValueError(f"projective_riesz needs s in (0, {2 * self.d})")
@@ -177,18 +170,26 @@ def default_energy_specs(d: int, k: int) -> tuple[EnergySpec, ...]:
 def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
     rng = derive_trial_rng(config.master_seed, trial_index)
     params = KernelParams(config.d, config.L)
-    points, _ = _sample_points(params, rng, config.max_rejections_per_point)
+    points, _ = _sample_points(params, rng, MAX_REJECTIONS_PER_POINT)
     lifted_real = None
     if config.k >= 1:
         lifted_real = realify(lift_to_sphere(points, config.k, rng))
+    kinds = {spec.kind for spec in config.energies}
+    if kinds - {"sphere_riesz"}:
+        # One pass over the sin-distance matrix serves every projective kind.
+        s_values = [spec.s for spec in config.energies if spec.kind == "projective_riesz"]
+        if "green" in kinds:
+            s_values.extend(_green_s_values(config.d))
+        riesz, log = projective_pair_sums(points, s_values)
     out = np.empty(len(config.energies))
     for i, spec in enumerate(config.energies):
         if spec.kind == "projective_riesz":
-            out[i] = projective_riesz_energy(points, spec.s)
+            out[i] = riesz[spec.s]
         elif spec.kind == "projective_log":
-            out[i] = projective_log_energy(points)
+            out[i] = log
         elif spec.kind == "green":
-            out[i] = green_energy(points, config.d)
+            pairs = params.r * (params.r - 1)
+            out[i] = _green_combination(config.d, log, riesz.__getitem__, pairs)
         else:  # sphere_riesz
             out[i] = riesz_energy(lifted_real, spec.s)
     return out
@@ -219,8 +220,6 @@ def _closed_form(config: ExperimentConfig, spec: EnergySpec) -> Optional[float]:
 
 
 def _estimator_for(config: ExperimentConfig, spec: EnergySpec) -> str:
-    if config.estimator != "auto":
-        return config.estimator
     # Summands near the sin-distance singularity get heavy-tailed once s
     # passes d; fall back to a robust estimate there.
     if spec.kind == "projective_riesz" and spec.s > config.d:
@@ -256,7 +255,7 @@ def _build_report(
     for col, spec in enumerate(config.energies):
         estimator = _estimator_for(config, spec)
         estimate, std, se, label = _aggregate_column(
-            retained[:, col], estimator, config.mom_blocks
+            retained[:, col], estimator, _MOM_BLOCKS
         )
         exact = _closed_form(config, spec)
         if exact is None:

@@ -7,6 +7,7 @@ emitter here. Complex vectors serialize as per-coordinate [re, im] pairs.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -97,12 +98,25 @@ def _encode_points(points: np.ndarray) -> list:
     ]
 
 
-def _decode_points(rows: list) -> np.ndarray:
-    out = np.array(
-        [[complex(pair[0], pair[1]) for pair in row] for row in rows],
+def _decode_coordinate(pair) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
+        raise ValueError(f"a coordinate must be an [re, im] pair of numbers, got {pair!r}")
+    try:
+        value = complex(*pair)
+    except OverflowError:  # an integer token beyond double range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ValueError("point coordinates must be finite")
+    return value
+
+
+def _decode_points(rows) -> np.ndarray:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("'points' must be a list of points, each a list of [re, im] pairs")
+    return np.array(
+        [[_decode_coordinate(pair) for pair in row] for row in rows],
         dtype=np.complex128,
     )
-    return out
 
 
 def pointset_to_json(ps: PointSetFile) -> str:

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
+# Proposals one selection step may draw before the sampler gives up; the
+# expected count is r/(r-i), so reaching this points at a defect.
+MAX_REJECTIONS_PER_POINT = 10_000_000
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -52,7 +55,7 @@ class SamplerConfig:
 
     params: KernelParams
     seed: int
-    max_rejections_per_point: int = 10_000_000
+    max_rejections_per_point: int = MAX_REJECTIONS_PER_POINT
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)

@@ -99,6 +99,23 @@ def test_seed_env_var_fallback(tmp_path):
     assert b"PENSEMBLE_SEED" in missing.stderr
 
 
+@pytest.mark.parametrize("seed", ["99999999999999999999999", "-1"])
+def test_seed_out_of_range_rejected_by_every_command(tmp_path, seed):
+    cp = tmp_path / "cp.json"
+    cp.write_text('{"space":"CP","d":1,"L":1,"seed":5,"points":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
+    sp = tmp_path / "s.json"
+    runs = [
+        run_cli("sample", "--d", "1", "--L", "1", "--seed", seed),
+        run_cli("sample", "--d", "1", "--L", "1", env_extra={"PENSEMBLE_SEED": seed}),
+        run_cli("lift", "--k", "2", "--seed", seed, "--in", str(cp), "--out", str(sp)),
+        run_cli("validate", "--d", "1", "--L", "1", "--trials", "4", "--seed", seed),
+    ]
+    for res in runs:
+        assert res.returncode == 2
+        assert b"error: seed must be an unsigned 64-bit integer" in res.stderr
+    assert not sp.exists()
+
+
 def test_lift_chain(tmp_path):
     cp = tmp_path / "cp.json"
     sp = tmp_path / "s.json"
@@ -170,6 +187,25 @@ def test_energy_flags_coincident_fiber_points(tmp_path):
     run_cli("lift", "--k", "2", "--seed", "5", "--in", str(cp), "--out", str(sp))
     doc = json.loads(run_cli("energy", "--kind", "projective", "--s", "1", "--in", str(sp)).stdout)
     assert doc["infinite"] is True and doc["value"] is None
+
+
+@pytest.mark.parametrize(
+    "space, points, message",
+    [
+        ("CP", [[[1.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]], b"[re, im] pair"),
+        ("CP", [[1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]], b"[re, im] pair"),
+        ("S", [[["NaN", 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]], b"finite"),
+    ],
+)
+def test_energy_rejects_malformed_point_entries(tmp_path, space, points, message):
+    header = {"space": space, "d": 1, "seed": 1, "L" if space == "CP" else "k": 1}
+    text = json.dumps({**header, "points": points}).replace('"NaN"', "NaN")
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    kind = ("projective", "--s", "1") if space == "CP" else ("riesz", "--s", "2")
+    res = run_cli("energy", "--kind", *kind, "--in", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(b"error: ") and message in res.stderr
 
 
 def test_validate_exit_codes_and_determinism():

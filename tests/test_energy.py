@@ -23,7 +23,7 @@ from pensemble import (
     riesz_energy,
     sample_projective_ensemble,
 )
-from pensemble.energy import _green_phi, green_constant
+from pensemble.energy import _green_phi, green_constant, projective_pair_sums
 
 
 def _roots_of_unity(k):
@@ -205,16 +205,47 @@ def test_green_energy_two_orthogonal_points():
     assert green_energy(_matrix([p]), 2) == 0.0
 
 
-def test_green_energy_matches_pairwise_green_function():
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_green_energy_matches_pairwise_green_function(d):
     rng = np.random.default_rng(14)
     pts = [
-        ProjectivePoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        ProjectivePoint(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
         for _ in range(6)
     ]
     brute = sum(
-        green_function(2, a, b) for a in pts for b in pts if a is not b
+        green_function(d, a, b) for a in pts for b in pts if a is not b
     )
-    assert green_energy(_matrix(pts), 2) == pytest.approx(brute, rel=1e-11)
+    assert green_energy(_matrix(pts), d) == pytest.approx(brute, rel=1e-11)
+
+
+def test_projective_pair_sums_match_pairwise_distances():
+    rng = np.random.default_rng(16)
+    pts = [
+        ProjectivePoint(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        for _ in range(7)
+    ]
+    sins = [fubini_sin_distance(a, b) for a in pts for b in pts if a is not b]
+    riesz, log = projective_pair_sums(_matrix(pts), [1.3, 2.0, 4.0])
+    assert sorted(riesz) == [1.3, 2.0, 4.0]
+    for s, value in riesz.items():
+        assert value == pytest.approx(sum(x ** (-s) for x in sins), rel=1e-10)
+    assert log == pytest.approx(-sum(math.log(x) for x in sins), rel=1e-10)
+
+
+def test_projective_pair_sums_coincident_pair_makes_every_sum_infinite():
+    rng = np.random.default_rng(17)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat[3] = np.exp(0.7j) * mat[1]
+    riesz, log = projective_pair_sums(mat, [1.0, 2.0, 4.0])
+    assert all(math.isinf(v) and v > 0 for v in riesz.values())
+    assert math.isinf(log) and log > 0
+
+
+def test_projective_pair_sums_reject_s_outside_range():
+    p, q = _orthogonal_pair(d=3)
+    for s in (0.0, -1.0, 6.0, 7.5):
+        with pytest.raises(ValueError, match="0, 6"):
+            projective_pair_sums(_matrix([p, q]), [2.0, s])
 
 
 def test_projective_riesz_matches_pairwise_distances():

@@ -6,14 +6,23 @@ import pytest
 from pensemble import (
     EnergySpec,
     ExperimentConfig,
+    KernelParams,
     bound_constants,
     default_energy_specs,
+    derive_trial_rng,
     emit_figure1_data,
     expected_projective_riesz,
+    green_energy,
+    lift_to_sphere,
+    projective_log_energy,
+    projective_riesz_energy,
+    realify,
+    riesz_energy,
     run_experiment,
 )
-from pensemble.montecarlo import _aggregate_column, _build_report
+from pensemble.montecarlo import _aggregate_column, _build_report, _trial_values
 from pensemble.pointset import dumps
+from pensemble.sampler import MAX_REJECTIONS_PER_POINT, _sample_points
 
 
 def _config(**overrides):
@@ -53,6 +62,28 @@ def test_default_energy_specs():
     assert kinds == ["projective_riesz", "projective_log", "sphere_riesz"]
     assert default_energy_specs(1, 0)[0].s == 1.0
     assert default_energy_specs(3, 0)[0].s == 2.0
+
+
+@pytest.mark.parametrize("d, L, k", [(2, 1, 0), (3, 2, 2)])
+def test_trial_values_match_public_energies(d, L, k):
+    # The one-pass trial columns must equal the public per-kind energies on
+    # the same draw (same derived stream: sample, then lift).
+    config = _config(d=d, L=L, k=k, energies=default_energy_specs(d, k), master_seed=41)
+    for trial in range(3):
+        values = _trial_values(config, trial)
+        rng = derive_trial_rng(config.master_seed, trial)
+        points, _ = _sample_points(KernelParams(d, L), rng, MAX_REJECTIONS_PER_POINT)
+        lifted = realify(lift_to_sphere(points, k, rng)) if k else None
+        for value, spec in zip(values, config.energies):
+            if spec.kind == "projective_riesz":
+                expected = projective_riesz_energy(points, spec.s)
+            elif spec.kind == "projective_log":
+                expected = projective_log_energy(points)
+            elif spec.kind == "green":
+                expected = green_energy(points, d)
+            else:
+                expected = riesz_energy(lifted, spec.s)
+            assert value == pytest.approx(expected, rel=1e-12), spec.label()
 
 
 # ---------------------------------------------------------------- aggregation
