@@ -28,6 +28,7 @@ from .energy import (
     projective_log_energy,
     projective_riesz_energy,
     riesz_energy,
+    sphere_2energy,
 )
 from .geometry import (
     ChartPoint,

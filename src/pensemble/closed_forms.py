@@ -16,7 +16,7 @@ from typing import Optional
 
 from scipy import integrate, special
 
-from .energy import _green_combination
+from .energy import _fiber_2energy, _green_combination
 
 __all__ = [
     "ExpectedEnergy",
@@ -208,16 +208,16 @@ def expected_projective_log(d: int, L: int) -> ExpectedEnergy:
 def expected_sphere_2energy_exact(d: int, L: int, k: int) -> ExpectedEnergy:
     """Expected Euclidean 2-energy of the lifted configuration on S^(2d+1).
 
-    Splits exactly into the within-fiber part r k(k^2-1)/12 (each fiber is a
-    rotated copy of the k-th roots of unity on its great circle) plus
-    (k^2/2) times the expected projective sin-distance 1-energy.
+    Splits exactly into the within-fiber part r k(k^2-1)/12, which every
+    lifted configuration holds (see ``energy._fiber_2energy``), plus (k^2/2)
+    times the expected projective sin-distance 1-energy.
     """
     _check_d(d)
     _check_L(L)
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     r = float(_r_of(d, L))
-    fiber = r * k * (k * k - 1.0) / 12.0
+    fiber = r * _fiber_2energy(k)
     cross = expected_projective_riesz(d, L, 1.0)
     exact = fiber + 0.5 * k * k * cross.exact
     leading = d / (2.0 * d - 1.0) * (k * r) ** 2

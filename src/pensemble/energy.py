@@ -8,7 +8,8 @@ that average over random configurations can discard such draws.
 Euclidean energies take (n, dim) real arrays. The projective energies take
 (n, d+1) complex arrays of representatives, one row per point; rows are
 normalised through :func:`pensemble.geometry.unit_rows`, so any non-zero
-representative will do.
+representative will do. The Euclidean 2-energy of a lifted configuration on
+S^(2d+1) also has an exact form per pair of fibers, :func:`sphere_2energy`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "COINCIDENCE_FLOOR",
     "riesz_energy",
     "log_energy",
+    "sphere_2energy",
     "projective_riesz_energy",
     "projective_log_energy",
     "projective_pair_sums",
@@ -130,6 +132,80 @@ def log_energy(points) -> float:
         lambda a, b: cdist(pts[a:b], pts),
         [lambda dm: -np.log(dm)],
     )[0]
+
+
+def _fiber_2energy(k: int) -> float:
+    """k(k^2-1)/12, the Euclidean 2-energy over ordered pairs of one fiber.
+
+    A fiber of k lifted points is a rotated copy of the k-th roots of unity
+    on a great circle, so this term depends on k alone: every lifted
+    configuration, not only the expected one, holds r times it within its
+    fibers.
+    """
+    return k * (k * k - 1.0) / 12.0
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a C-contiguous complex array."""
+    real = rows.view(np.float64)
+    return np.einsum("pc,pc->p", real, real)
+
+
+def sphere_2energy(config) -> float:
+    """Euclidean 2-energy of a lifted configuration, one closed form per fiber pair.
+
+    ``config`` is a SphereConfiguration: unit rows in fibers of k
+    phase-equispaced points, as ``lift_to_sphere`` builds them. The result
+    equals ``riesz_energy(realify(config), 2.0)``, +inf on a lifted pair
+    closer than COINCIDENCE_FLOOR included, in O(r^2) rather than O(k^2 r^2).
+
+    For fibers i != j with <y_(i,0), y_(j,0)> = rho e^(i phi), the lifted
+    distances are 2 - 2 rho cos(phi + 2 pi m/k). With
+    q = rho / (1 + sqrt(1 - rho^2)), 1/(2 - 2 rho cos t) is (1+q^2)/2 times a
+    Poisson kernel in q, and the k phases keep its Fourier modes in k Z, so
+    the k^2 ordered pairs between the two fibers sum to
+
+        k^2 (1+q^2)/2 * (1-q^(2k)) / ((1-q^2) ((1-q^k)^2 + 4 q^k sin^2(k phi/2)))
+      = k^2 (1-q^(2k)) / (2 sqrt(1-rho^2) ((1-q^k)^2 + 4 q^k sin^2(k phi/2))),
+
+    as (1+q^2)/(1-q^2) = 1/sqrt(1-rho^2); (1-q^(2k))/sqrt(1-rho^2) tends to
+    2k as rho -> 1. Each fiber adds k(k^2-1)/12.
+
+    1 - rho is taken from the distance between the fiber representatives
+    once their phases are aligned, not from 1 - |<y, y'>|, so a lifted pair
+    at small distance delta costs a relative error of order 1e-16/delta, as
+    in the pairwise sum, not 1e-16/delta^2.
+    """
+    k = config.k
+    points = config.points
+    reps = points[::k]
+    r = reps.shape[0]
+    i, j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # fiber pairs i < j
+    first, second = reps[i], reps[j]
+    phi = np.angle(np.einsum("pc,pc->p", first.conj(), second))
+    # The nearest lifted pair of fibers i and j is y_(i,0), y_(j,m) with
+    # phi + 2 pi m/k closest to 0; compare the stored points as the
+    # pairwise energy does.
+    m = np.rint(phi * (-k / (2.0 * math.pi))).astype(np.int64) % k
+    gap = points[k * i] - points[k * j + m]
+    if (np.sqrt(_squared_norms(gap)) < COINCIDENCE_FLOOR).any():
+        return math.inf
+    aligned = second - np.exp(1j * phi)[:, None] * first
+    one_minus_rho = np.minimum(0.5 * _squared_norms(aligned), 1.0)
+    root = np.sqrt(one_minus_rho * (2.0 - one_minus_rho))  # sqrt(1 - rho^2)
+    one_minus_q = (one_minus_rho + root) / (1.0 + root)
+    with np.errstate(divide="ignore"):  # log q = -inf on an orthogonal pair
+        k_log_q = k * np.log1p(-one_minus_q)
+    q_k = np.exp(k_log_q)
+    one_minus_q_k = -np.expm1(k_log_q)
+    # (1 - q^(2k)) / sqrt(1 - rho^2), which tends to 2k as rho -> 1.
+    numerator = np.divide(
+        one_minus_q_k * (1.0 + q_k), root, out=np.full_like(root, 2.0 * k), where=root > 0.0
+    )
+    denominator = one_minus_q_k**2 + 4.0 * q_k * np.sin(0.5 * k * phi) ** 2
+    # Each unordered fiber pair stands for its two ordered pairs.
+    cross = float((numerator / denominator).sum())
+    return k * k * cross + r * _fiber_2energy(k)
 
 
 def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .energy import (
     _green_s_values,
     projective_pair_sums,
     riesz_energy,
+    sphere_2energy,
 )
 from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
@@ -171,9 +172,7 @@ def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
     rng = derive_trial_rng(config.master_seed, trial_index)
     params = KernelParams(config.d, config.L)
     points, _ = _sample_points(params, rng, MAX_REJECTIONS_PER_POINT)
-    lifted_real = None
-    if config.k >= 1:
-        lifted_real = realify(lift_to_sphere(points, config.k, rng))
+    lifted = lift_to_sphere(points, config.k, rng) if config.k >= 1 else None
     kinds = {spec.kind for spec in config.energies}
     if kinds - {"sphere_riesz"}:
         # One pass over the sin-distance matrix serves every projective kind.
@@ -190,8 +189,10 @@ def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
         elif spec.kind == "green":
             pairs = params.r * (params.r - 1)
             out[i] = _green_combination(config.d, log, riesz.__getitem__, pairs)
-        else:  # sphere_riesz
-            out[i] = riesz_energy(lifted_real, spec.s)
+        elif spec.s == 2.0:  # sphere_riesz
+            out[i] = sphere_2energy(lifted)
+        else:  # sphere_riesz away from s = 2 has no per-fiber closed form
+            out[i] = riesz_energy(realify(lifted), spec.s)
     return out
 
 

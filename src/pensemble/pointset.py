@@ -135,18 +135,29 @@ def _parse_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+def _header_int(doc: dict, key: str) -> Optional[int]:
+    if key not in doc:
+        return None
+    value = doc[key]
+    if type(value) is not int:  # bool is an int subclass; JSON true is not a count
+        raise ValueError(f"point-set field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def pointset_from_json(text: str) -> PointSetFile:
     doc = json.loads(text, parse_int=_parse_int)
+    if not isinstance(doc, dict):
+        raise ValueError("a point-set file must hold a JSON object")
     for key in ("space", "d", "seed", "points"):
         if key not in doc:
             raise ValueError(f"point-set file is missing the {key!r} field")
     return PointSetFile(
         space=doc["space"],
-        d=int(doc["d"]),
-        seed=int(doc["seed"]),
+        d=_header_int(doc, "d"),
+        seed=_header_int(doc, "seed"),
         points=_decode_points(doc["points"]),
-        L=int(doc["L"]) if "L" in doc else None,
-        k=int(doc["k"]) if "k" in doc else None,
+        L=_header_int(doc, "L"),
+        k=_header_int(doc, "k"),
     )
 
 

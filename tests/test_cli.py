@@ -208,6 +208,33 @@ def test_energy_rejects_malformed_point_entries(tmp_path, space, points, message
     assert res.stderr.startswith(b"error: ") and message in res.stderr
 
 
+_GOOD_CP = {
+    "space": "CP", "d": 1, "L": 1, "seed": 1,
+    "points": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", b"JSON object"),
+        ("[]", b"JSON object"),
+        (json.dumps({**_GOOD_CP, "d": [1]}), b"'d' must be an integer"),
+        (json.dumps({**_GOOD_CP, "d": True}), b"'d' must be an integer"),
+        (json.dumps({**_GOOD_CP, "seed": "7"}), b"'seed' must be an integer"),
+        (json.dumps({**_GOOD_CP, "L": 1.5}), b"'L' must be an integer"),
+        (json.dumps({**_GOOD_CP, "space": "S", "k": True}), b"'k' must be an integer"),
+    ],
+    ids=["number", "list", "d-list", "d-true", "seed-string", "L-float", "k-true"],
+)
+def test_energy_rejects_malformed_header(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = run_cli("energy", "--kind", "projective-log", "--in", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(b"error: ") and message in res.stderr
+
+
 def test_validate_exit_codes_and_determinism():
     args = (
         "validate", "--d", "2", "--L", "1", "--trials", "40",

@@ -8,10 +8,12 @@ from helpers import complex_vectors
 from pensemble import (
     KernelParams,
     SamplerConfig,
+    SphereConfiguration,
     lift_to_sphere,
     realify,
     riesz_energy,
     sample_projective_ensemble,
+    sphere_2energy,
 )
 
 
@@ -63,6 +65,51 @@ def test_fiber_two_energy_is_roots_of_unity_energy(k):
     config = lift_to_sphere(sample, k, np.random.default_rng(22))
     energy = riesz_energy(realify(config), 2.0)
     assert energy == pytest.approx(k * (k * k - 1.0) / 12.0, rel=1e-10)
+    assert sphere_2energy(config) == pytest.approx(k * (k * k - 1.0) / 12.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, L, k", [(1, 1, 1), (1, 1, 2), (2, 2, 128), (3, 2, 5), (2, 5, 64)])
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_sphere_2energy_matches_pairwise_sum(d, L, k, seed):
+    config = lift_to_sphere(_sample(d, L, seed), k, np.random.default_rng(seed + 100))
+    assert sphere_2energy(config) == pytest.approx(riesz_energy(realify(config), 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sphere_2energy_orthogonal_fibers(k):
+    # q = 0: every cross-fiber pair sits at distance sqrt(2), 1/2 per ordered pair.
+    config = lift_to_sphere(np.eye(2, dtype=complex), k, np.random.default_rng(60))
+    expected = k * k + 2.0 * k * (k * k - 1.0) / 12.0
+    assert sphere_2energy(config) == pytest.approx(expected, rel=1e-14)
+    assert riesz_energy(realify(config), 2.0) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+@pytest.mark.parametrize("seed", [70, 71, 72])
+def test_sphere_2energy_duplicated_row_at_two_phases(k, seed):
+    # rho = 1: the fiber pair sums csc^2 over a shifted k-gon, k^3/(4 sin^2(k delta/2)).
+    # The stored lifted points carry phase rounding near 1e-15, which moves
+    # the pairwise sum by about 1e-15/delta for a nearest lifted pair at
+    # distance delta; these k and seeds keep delta above 5e-3.
+    rng = np.random.default_rng(seed)
+    row = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
+    config = lift_to_sphere(np.vstack([row, row]), k, np.random.default_rng(seed + 2))
+    delta = config.phases[1] - config.phases[0]
+    expected = 2.0 * k**3 / (4.0 * math.sin(0.5 * k * delta) ** 2) + 2.0 * k * (k * k - 1.0) / 12.0
+    energy = sphere_2energy(config)
+    assert energy == pytest.approx(expected, rel=1e-12)
+    assert energy == pytest.approx(riesz_energy(realify(config), 2.0), rel=1e-12)
+
+
+def test_sphere_2energy_duplicated_row_at_one_phase_is_infinite():
+    single = lift_to_sphere(np.array([[1.0, 0.5j, -0.25]]), 4, np.random.default_rng(80))
+    config = SphereConfiguration(
+        points=np.vstack([single.points, single.points]),
+        k=4,
+        phases=np.repeat(single.phases, 2),
+    )
+    assert riesz_energy(realify(config), 2.0) == math.inf
+    assert sphere_2energy(config) == math.inf
 
 
 def test_realify_examples():

@@ -64,11 +64,15 @@ def test_default_energy_specs():
     assert default_energy_specs(3, 0)[0].s == 2.0
 
 
-@pytest.mark.parametrize("d, L, k", [(2, 1, 0), (3, 2, 2)])
+@pytest.mark.parametrize("d, L, k", [(2, 1, 0), (3, 2, 2), (2, 2, 128)])
 def test_trial_values_match_public_energies(d, L, k):
     # The one-pass trial columns must equal the public per-kind energies on
-    # the same draw (same derived stream: sample, then lift).
-    config = _config(d=d, L=L, k=k, energies=default_energy_specs(d, k), master_seed=41)
+    # the same draw (same derived stream: sample, then lift). A lift adds a
+    # sphere Riesz spec at s = 1.5, which stays on the pairwise sum.
+    energies = default_energy_specs(d, k)
+    if k:
+        energies += (EnergySpec("sphere_riesz", 1.5),)
+    config = _config(d=d, L=L, k=k, energies=energies, master_seed=41)
     for trial in range(3):
         values = _trial_values(config, trial)
         rng = derive_trial_rng(config.master_seed, trial)
