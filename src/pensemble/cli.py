@@ -2,7 +2,7 @@
 
 Every command is deterministic given its flags; seeds may also come from the
 PENSEMBLE_SEED environment variable. Structured results go to stdout as JSON
-(17-significant-digit floats); timing and progress notes go to stderr.
+(shortest round-trip floats); timing and progress notes go to stderr.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ projective Riesz expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from scipy import integrate, special
@@ -82,14 +82,7 @@ class ExpectedEnergy:
     fiber_term: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "exact": self.exact,
-            "leading_term": self.leading_term,
-            "second_order_coefficient": self.second_order_coefficient,
-            "second_order_exponent": self.second_order_exponent,
-            "second_order_log_factor": self.second_order_log_factor,
-            "fiber_term": self.fiber_term,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -108,13 +101,7 @@ class BoundConstants:
     harmonic_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "A_opt": self.A_opt,
-            "f_at_A_opt": self.f_at_A_opt,
-            "projective_bound": self.projective_bound,
-            "harmonic_bound": self.harmonic_bound,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -154,6 +141,15 @@ def continuous_sphere_energy(dim: int, s: float) -> float:
     )
 
 
+def _riesz_second_order(d: int, s: float) -> float:
+    """d Gamma(d - s/2) / (d!)^(1 - s/(2d)), minus the r^(1 + s/(2d)) coefficient
+    of the projective Riesz expectation. Half its s = 1 value is the k^2 factor
+    of the lifted sphere 2-energy's second-order term."""
+    return math.exp(
+        math.log(d) + log_gamma(d - s / 2.0) - (1.0 - s / (2.0 * d)) * log_gamma(d + 1)
+    )
+
+
 def expected_projective_riesz(d: int, L: int, s: float) -> ExpectedEnergy:
     """Expected sin-distance Riesz s-energy of the r-point projective process:
 
@@ -168,13 +164,10 @@ def expected_projective_riesz(d: int, L: int, s: float) -> ExpectedEnergy:
     r = float(_r_of(d, L))
     leading = d / (d - s / 2.0) * r * r
     exact = leading - r * r * d * beta(d - s / 2.0, L + 1)
-    coeff = -math.exp(
-        math.log(d) + log_gamma(d - s / 2.0) - (1.0 - s / (2.0 * d)) * log_gamma(d + 1)
-    )
     return ExpectedEnergy(
         exact=exact,
         leading_term=leading,
-        second_order_coefficient=coeff,
+        second_order_coefficient=-_riesz_second_order(d, s),
         second_order_exponent=1.0 + s / (2.0 * d),
     )
 
@@ -221,13 +214,10 @@ def expected_sphere_2energy_exact(d: int, L: int, k: int) -> ExpectedEnergy:
     cross = expected_projective_riesz(d, L, 1.0)
     exact = fiber + 0.5 * k * k * cross.exact
     leading = d / (2.0 * d - 1.0) * (k * r) ** 2
-    coeff = -0.5 * math.exp(
-        math.log(d) + log_gamma(d - 0.5) - (1.0 - 1.0 / (2.0 * d)) * log_gamma(d + 1)
-    )
     return ExpectedEnergy(
         exact=exact,
         leading_term=leading,
-        second_order_coefficient=coeff,  # multiplies k^2 r^(1 + 1/(2d))
+        second_order_coefficient=0.5 * cross.second_order_coefficient,  # times k^2 r^(1 + 1/(2d))
         second_order_exponent=1.0 + 1.0 / (2.0 * d),
         fiber_term=fiber,
     )
@@ -261,14 +251,6 @@ def expected_green_energy(d: int, L: int) -> ExpectedEnergy:
     )
 
 
-def _second_order_sphere_coefficient(d: int) -> float:
-    """d Gamma(d - 1/2) / (2 (d!)^(1 - 1/(2d))), the k^2 r^(1+1/(2d)) factor."""
-    return math.exp(
-        math.log(d) + log_gamma(d - 0.5) - math.log(2.0)
-        - (1.0 - 1.0 / (2.0 * d)) * log_gamma(d + 1)
-    )
-
-
 def balance_coefficient(A: float, d: int) -> float:
     """Coefficient of n^(1 + 2/(2d+1)) when fibers scale as k = A r^(1/(2d)):
 
@@ -279,7 +261,8 @@ def balance_coefficient(A: float, d: int) -> float:
     if not A > 0:
         raise ValueError("A must be positive")
     e = 2.0 / (2.0 * d + 1.0)
-    return A ** (2.0 - e) / 12.0 - _second_order_sphere_coefficient(d) * A ** (1.0 - e)
+    c_d = 0.5 * _riesz_second_order(d, 1.0)
+    return A ** (2.0 - e) / 12.0 - c_d * A ** (1.0 - e)
 
 
 def bound_constants(d: int) -> BoundConstants:

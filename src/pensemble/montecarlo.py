@@ -12,7 +12,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .energy import (
 )
 from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
-from .sampler import MAX_REJECTIONS_PER_POINT, _sample_points, derive_trial_rng
+from .sampler import _sample_points, derive_trial_rng
 
 __all__ = [
     "EnergySpec",
@@ -110,16 +110,7 @@ class EnergyResult:
     z_score: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "estimator": self.estimator,
-            "sample_mean": self.sample_mean,
-            "sample_std": self.sample_std,
-            "standard_error": self.standard_error,
-            "closed_form_exact": self.closed_form_exact,
-            "z_score": self.z_score,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ def default_energy_specs(d: int, k: int) -> tuple[EnergySpec, ...]:
 def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
     rng = derive_trial_rng(config.master_seed, trial_index)
     params = KernelParams(config.d, config.L)
-    points, _ = _sample_points(params, rng, MAX_REJECTIONS_PER_POINT)
+    points, _ = _sample_points(params, rng)
     lifted = lift_to_sphere(points, config.k, rng) if config.k >= 1 else None
     kinds = {spec.kind for spec in config.energies}
     if kinds - {"sphere_riesz"}:

@@ -1,8 +1,9 @@
 """Point-set files and deterministic JSON serialization.
 
-Floats are written with 17 significant digits so every double round-trips
-bit-for-bit; the stdlib encoder offers no hook for that, hence the small
-emitter here. Complex vectors serialize as per-coordinate [re, im] pairs.
+All output goes through the stdlib ``json`` encoder, which writes each float
+in its shortest round-trip form (``float.__repr__``), so every double reads
+back bit-for-bit, -0.0 included. Complex vectors serialize as per-coordinate
+[re, im] pairs.
 """
 
 from __future__ import annotations
@@ -32,34 +33,16 @@ SPACE_SPHERE = "S"
 
 
 def format_float(x: float) -> str:
-    """Decimal form with 17 significant digits (lossless for doubles)."""
+    """Shortest decimal form that reads back to the same double; the same
+    digits :func:`dumps` writes."""
     if not math.isfinite(x):
         raise ValueError("only finite numbers are serialized")
-    return format(float(x), ".17g")
-
-
-def _emit(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_emit(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return repr(float(x))
 
 
 def dumps(obj) -> str:
-    """Compact JSON with 17-significant-digit floats and stable key order."""
-    return _emit(obj) + "\n"
+    """Compact JSON in insertion key order; non-finite floats raise ValueError."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +75,7 @@ class PointSetFile:
 
 
 def _encode_points(points: np.ndarray) -> list:
-    return [
-        [[float(c.real), float(c.imag)] for c in row]
-        for row in points
-    ]
+    return np.stack((points.real, points.imag), axis=-1).tolist()
 
 
 def _decode_coordinate(pair) -> complex:
@@ -130,11 +110,6 @@ def pointset_to_json(ps: PointSetFile) -> str:
     return dumps(doc)
 
 
-def _parse_int(token: str):
-    # format_float writes -0.0 as "-0", an integer token; keep its sign bit.
-    return -0.0 if token == "-0" else int(token)
-
-
 def _header_int(doc: dict, key: str) -> Optional[int]:
     if key not in doc:
         return None
@@ -145,7 +120,7 @@ def _header_int(doc: dict, key: str) -> Optional[int]:
 
 
 def pointset_from_json(text: str) -> PointSetFile:
-    doc = json.loads(text, parse_int=_parse_int)
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a point-set file must hold a JSON object")
     for key in ("space", "d", "seed", "points"):

@@ -55,12 +55,9 @@ class SamplerConfig:
 
     params: KernelParams
     seed: int
-    max_rejections_per_point: int = MAX_REJECTIONS_PER_POINT
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
-        if self.max_rejections_per_point < 1:
-            raise ValueError("max_rejections_per_point must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +101,7 @@ def sample_uniform_cp(d: int, rng: np.random.Generator) -> ProjectivePoint:
 
 
 def _sample_points(
-    params: KernelParams, rng: np.random.Generator, max_rejections: int
+    params: KernelParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[int]]:
     """Core sequential sampler; returns (r, d+1) representatives and proposal counts."""
     d, L, r = params.d, params.L, params.r
@@ -116,9 +113,9 @@ def _sample_points(
         tries = 0
         while True:
             tries += 1
-            if tries > max_rejections:
+            if tries > MAX_REJECTIONS_PER_POINT:
                 raise RejectionBudgetExceededError(
-                    f"point {i}: no acceptance within {max_rejections} proposals"
+                    f"point {i}: no acceptance within {MAX_REJECTIONS_PER_POINT} proposals"
                 )
             cand = _uniform_unit_vector(d, rng)
             y = w @ (points[:i] @ cand.conj()) ** L
@@ -144,7 +141,7 @@ def _assert_no_coincidence(matrix: np.ndarray, tol: float = 1e-12) -> None:
 def sample_projective_ensemble(config: SamplerConfig) -> ProjectiveSample:
     """Draw r = C(d+L, d) points of the determinantal process, reproducibly."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    matrix, proposals = _sample_points(config.params, rng, config.max_rejections_per_point)
+    matrix, proposals = _sample_points(config.params, rng)
     _assert_no_coincidence(matrix)
     return ProjectiveSample(
         points=matrix,

@@ -250,7 +250,7 @@ def test_criterion_8_one_point_intensity_ks():
     pooled = np.empty(samples * params.r)
     for index in range(samples):
         rng = derive_trial_rng(SEED + 2, index)
-        matrix, _ = _sample_points(params, rng, 10_000_000)
+        matrix, _ = _sample_points(params, rng)
         pooled[index * params.r:(index + 1) * params.r] = 1.0 - np.abs(matrix[:, 0]) ** 2
     res = stats.kstest(pooled, lambda x: x**d)
     ok = res.pvalue > 1e-3

@@ -22,7 +22,7 @@ from pensemble import (
 )
 from pensemble.montecarlo import _aggregate_column, _build_report, _trial_values
 from pensemble.pointset import dumps
-from pensemble.sampler import MAX_REJECTIONS_PER_POINT, _sample_points
+from pensemble.sampler import _sample_points
 
 
 def _config(**overrides):
@@ -76,7 +76,7 @@ def test_trial_values_match_public_energies(d, L, k):
     for trial in range(3):
         values = _trial_values(config, trial)
         rng = derive_trial_rng(config.master_seed, trial)
-        points, _ = _sample_points(KernelParams(d, L), rng, MAX_REJECTIONS_PER_POINT)
+        points, _ = _sample_points(KernelParams(d, L), rng)
         lifted = realify(lift_to_sphere(points, k, rng)) if k else None
         for value, spec in zip(values, config.energies):
             if spec.kind == "projective_riesz":

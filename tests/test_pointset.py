@@ -27,6 +27,8 @@ def test_format_float_rejects_nonfinite():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             format_float(bad)
+        with pytest.raises(ValueError):
+            dumps({"x": [1.0, bad]})
 
 
 def test_dumps_shapes_and_parseability():
@@ -77,6 +79,21 @@ def test_pointset_round_trip_keeps_negative_zero():
     assert np.array_equal(np.signbit(back.points.imag), np.signbit(pts.imag))
     assert pointset_to_json(back) == text
     assert back.seed == 2**64 - 1
+
+
+def test_pointset_reads_seventeen_digit_files():
+    # Files written before floats took their shortest form: 17 significant
+    # digits, whole numbers as integer tokens, and -0.0 as the token -0.
+    text = (
+        '{"space":"CP","d":1,"L":1,"seed":4,"points":'
+        '[[[0.10000000000000001,-0.69999999999999996],[1,-0]],'
+        '[[-0,0.33333333333333331],[2.5,-3]]]}\n'
+    )
+    ps = pointset_from_json(text)
+    expected = np.array([[0.1 - 0.7j, 1.0 + 0.0j], [0.0 + 1.0j / 3.0, 2.5 - 3.0j]])
+    assert np.array_equal(ps.points, expected)
+    assert not np.signbit(ps.points[0, 1].imag) and not np.signbit(ps.points[1, 0].real)
+    assert ps.space == "CP" and ps.d == 1 and ps.L == 1 and ps.seed == 4
 
 
 def test_pointset_file_io(tmp_path):

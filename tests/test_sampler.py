@@ -134,15 +134,16 @@ def _reference_sample(params, rng):
 def test_kernel_chain_rule_matches_feature_space_reference(d, L):
     params = KernelParams(d, L)
     for index in range(3):
-        points, proposals = _sample_points(params, derive_trial_rng(31, index), 10_000_000)
+        points, proposals = _sample_points(params, derive_trial_rng(31, index))
         ref_points, ref_proposals = _reference_sample(params, derive_trial_rng(31, index))
         assert proposals == ref_proposals
         assert np.array_equal(points, ref_points)
 
 
-def test_rejection_budget_raises():
+def test_rejection_budget_raises(monkeypatch):
     params = KernelParams(1, 9)  # late steps accept rarely; budget 1 must trip
-    config = SamplerConfig(params=params, seed=0, max_rejections_per_point=1)
+    monkeypatch.setattr("pensemble.sampler.MAX_REJECTIONS_PER_POINT", 1)
+    config = SamplerConfig(params=params, seed=0)
     with pytest.raises(RejectionBudgetExceededError):
         sample_projective_ensemble(config)
 
@@ -154,7 +155,7 @@ def test_one_point_intensity_matches_uniform_two_sample_ks():
     pooled = []
     for index in range(samples):
         rng = derive_trial_rng(909, index)
-        matrix, _ = _sample_points(params, rng, 10_000_000)
+        matrix, _ = _sample_points(params, rng)
         pooled.append(_chart_radial_stat(matrix))
     pooled = np.concatenate(pooled)
     assert pooled.size >= 100_000
@@ -181,7 +182,7 @@ def test_trials_independent_of_execution_order():
 
     def run(index):
         rng = derive_trial_rng(55, index)
-        matrix, _ = _sample_points(params, rng, 10_000_000)
+        matrix, _ = _sample_points(params, rng)
         return matrix
 
     forward = [run(i) for i in range(10)]
