@@ -23,31 +23,11 @@ from .closed_forms import (
 from .energy import (
     EnergyReport,
     green_energy,
-    green_function,
     log_energy,
     projective_log_energy,
     projective_riesz_energy,
     riesz_energy,
     sphere_2energy,
-)
-from .geometry import (
-    ChartPoint,
-    DimensionMismatchError,
-    PointAtInfinityError,
-    ProjectivePoint,
-    chart_jacobian,
-    chart_to_projective,
-    fubini_sin_distance,
-    projective_to_chart,
-)
-from .kernel import (
-    KernelParams,
-    basis_coefficient,
-    enumerate_multi_indices,
-    feature_vector,
-    joint_intensity_2,
-    kernel_eval,
-    projective_kernel_magnitude,
 )
 from .lift import SphereConfiguration, lift_to_sphere, realify
 from .montecarlo import (
@@ -60,12 +40,12 @@ from .montecarlo import (
 )
 from .pointset import PointSetFile, read_pointset, write_pointset
 from .sampler import (
+    KernelParams,
     ProjectiveSample,
     RejectionBudgetExceededError,
     SamplerConfig,
     derive_trial_rng,
     sample_projective_ensemble,
-    sample_uniform_cp,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from .energy import (
     projective_riesz_energy,
     riesz_energy,
 )
-from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
 from .montecarlo import (
     ExperimentConfig,
@@ -46,7 +45,7 @@ from .pointset import (
     pointset_to_json,
     read_pointset,
 )
-from .sampler import SamplerConfig, _check_seed, sample_projective_ensemble
+from .sampler import KernelParams, SamplerConfig, _check_seed, sample_projective_ensemble
 
 SEED_ENV_VAR = "PENSEMBLE_SEED"
 

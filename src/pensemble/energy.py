@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import ProjectivePoint, inner, unit_rows
+from .geometry import unit_rows
 
 __all__ = [
     "EnergyReport",
@@ -32,7 +32,6 @@ __all__ = [
     "projective_riesz_energy",
     "projective_log_energy",
     "projective_pair_sums",
-    "green_function",
     "green_energy",
     "green_constant",
 ]
@@ -154,10 +153,10 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 def sphere_2energy(config) -> float:
     """Euclidean 2-energy of a lifted configuration, one closed form per fiber pair.
 
-    ``config`` is a SphereConfiguration: unit rows in fibers of k
-    phase-equispaced points, as ``lift_to_sphere`` builds them. The result
-    equals ``riesz_energy(realify(config), 2.0)``, +inf on a lifted pair
-    closer than COINCIDENCE_FLOOR included, in O(r^2) rather than O(k^2 r^2).
+    ``config`` is a SphereConfiguration; only its r representatives, their
+    phases and k are read, never the k*r lifted points. The result equals
+    ``riesz_energy(realify(config), 2.0)``, +inf on a lifted pair closer
+    than COINCIDENCE_FLOOR included, in O(r^2) rather than O(k^2 r^2).
 
     For fibers i != j with <y_(i,0), y_(j,0)> = rho e^(i phi), the lifted
     distances are 2 - 2 rho cos(phi + 2 pi m/k). With
@@ -177,17 +176,18 @@ def sphere_2energy(config) -> float:
     in the pairwise sum, not 1e-16/delta^2.
     """
     k = config.k
-    points = config.points
-    reps = points[::k]
-    r = reps.shape[0]
+    r = config.representatives.shape[0]
+    # The same arithmetic builds ``config.points``, so the lifted points used
+    # here match those the pairwise sum sees bit for bit.
+    fibers0 = config.lifted_points(np.arange(r), 0)
     i, j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # fiber pairs i < j
-    first, second = reps[i], reps[j]
+    first, second = fibers0[i], fibers0[j]
     phi = np.angle(np.einsum("pc,pc->p", first.conj(), second))
     # The nearest lifted pair of fibers i and j is y_(i,0), y_(j,m) with
-    # phi + 2 pi m/k closest to 0; compare the stored points as the
-    # pairwise energy does.
+    # phi + 2 pi m/k closest to 0; compare those points as the pairwise
+    # energy does.
     m = np.rint(phi * (-k / (2.0 * math.pi))).astype(np.int64) % k
-    gap = points[k * i] - points[k * j + m]
+    gap = first - config.lifted_points(j, m)
     if (np.sqrt(_squared_norms(gap)) < COINCIDENCE_FLOOR).any():
         return math.inf
     aligned = second - np.exp(1j * phi)[:, None] * first
@@ -283,27 +283,6 @@ def _green_combination(d: int, log_term, riesz_term: Callable, pairs):
     for s in _green_s_values(d):
         bracket = bracket + riesz_term(s) / s
     return _green_prefactor(d) * bracket + pairs * green_constant(d)
-
-
-def _green_phi(d: int, sin_r):
-    """Green radial profile as a function of sin(d_FS), vectorized."""
-    sin_r = np.asarray(sin_r, dtype=np.float64)
-    return _green_combination(d, -np.log(sin_r), lambda s: sin_r ** (-s), 1)
-
-
-def green_function(d: int, p: ProjectivePoint, q: ProjectivePoint) -> float:
-    """Zero-mean Green function of CP^d at (p, q); symmetric, +inf at coincidence."""
-    if d < 2:
-        raise ValueError("the Green function is implemented for d >= 2 only")
-    if p.d != d or q.d != d:
-        raise ValueError(f"points live in CP^{p.d}/CP^{q.d}, expected CP^{d}")
-    # The inner product of swapped arguments is the exact complex conjugate,
-    # so this route keeps G(p, q) == G(q, p) bit-for-bit.
-    overlap = min(abs(inner(p.coords, q.coords)), 1.0)
-    if overlap >= _COINCIDENT_OVERLAP:
-        return math.inf
-    sin_r = math.sqrt((1.0 - overlap) * (1.0 + overlap))
-    return float(_green_phi(d, sin_r))
 
 
 def green_energy(points, d: int) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,22 +24,50 @@ __all__ = ["SphereConfiguration", "lift_to_sphere", "realify"]
 
 @dataclass(frozen=True, eq=False)
 class SphereConfiguration:
-    """n = k*r unit vectors in C^(d+1), grouped in fibers of k per source point.
+    """The lift of r projective points: a fiber of k unit vectors per point.
 
-    Row k*i + j holds y_(i,j); ``phases`` keeps the per-point offsets theta_i.
+    ``representatives`` holds the r points as (r, d+1) unit rows (any
+    non-zero rows are normalised at construction), ``phases`` the per-point
+    offsets theta_i. ``points`` is built from them on first use: row k*i + j
+    holds y_(i,j), n = k*r rows in all. So every instance is a valid lift.
     """
 
-    points: np.ndarray
-    k: int
+    representatives: np.ndarray
     phases: np.ndarray
+    k: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or self.k < 1:
+            raise ValueError("k must be a positive integer")
+        reps = unit_rows(self.representatives)
+        phases = np.array(self.phases, dtype=np.float64)
+        if phases.shape != reps.shape[:1] or not np.all(np.isfinite(phases)):
+            raise ValueError("phases must hold one finite offset per representative")
+        reps.setflags(write=False)
+        phases.setflags(write=False)
+        object.__setattr__(self, "representatives", reps)
+        object.__setattr__(self, "phases", phases)
+
+    def lifted_points(self, fibers, steps) -> np.ndarray:
+        """y_(i,m) = exp(1j (theta_i + 2 pi m/k)) x_i for fiber indices i and
+        phase steps m, broadcast against each other; one (d+1) row per (i, m)."""
+        angles = self.phases[fibers] + 2.0 * math.pi * np.asarray(steps) / self.k
+        return np.exp(1j * angles)[..., None] * self.representatives[fibers]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        r = self.representatives.shape[0]
+        pts = self.lifted_points(np.arange(r)[:, None], np.arange(self.k)).reshape(self.n, -1)
+        pts.setflags(write=False)
+        return pts
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.k * self.representatives.shape[0]
 
     @property
     def d(self) -> int:
-        return self.points.shape[1] - 1
+        return self.representatives.shape[1] - 1
 
 
 def lift_to_sphere(
@@ -47,20 +76,11 @@ def lift_to_sphere(
     """Lift every projective point to k phase-equispaced sphere points.
 
     Accepts a ProjectiveSample or any (r, d+1) array of representatives;
-    rows are normalised first.
+    the configuration normalises the rows.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    matrix = unit_rows(sample.points if isinstance(sample, ProjectiveSample) else sample)
-    r = matrix.shape[0]
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=r)
-    offsets = 2.0 * math.pi * np.arange(k) / k
-    factors = np.exp(1j * (phases[:, None] + offsets[None, :]))  # (r, k)
-    lifted = factors[:, :, None] * matrix[:, None, :]            # (r, k, d+1)
-    pts = lifted.reshape(r * k, -1)
-    pts.setflags(write=False)
-    phases.setflags(write=False)
-    return SphereConfiguration(points=pts, k=k, phases=phases)
+    reps = sample.points if isinstance(sample, ProjectiveSample) else np.asarray(sample)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=reps.shape[:1])
+    return SphereConfiguration(representatives=reps, phases=phases, k=k)
 
 
 def realify(config: SphereConfiguration | np.ndarray) -> np.ndarray:

@@ -31,9 +31,8 @@ from .energy import (
     riesz_energy,
     sphere_2energy,
 )
-from .kernel import KernelParams
 from .lift import lift_to_sphere, realify
-from .sampler import _sample_points, derive_trial_rng
+from .sampler import KernelParams, _sample_points, derive_trial_rng
 
 __all__ = [
     "EnergySpec",

@@ -8,7 +8,6 @@ back bit-for-bit, -0.0 included. Complex vectors serialize as per-coordinate
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -78,25 +77,30 @@ def _encode_points(points: np.ndarray) -> list:
     return np.stack((points.real, points.imag), axis=-1).tolist()
 
 
-def _decode_coordinate(pair) -> complex:
-    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
-        raise ValueError(f"a coordinate must be an [re, im] pair of numbers, got {pair!r}")
-    try:
-        value = complex(*pair)
-    except OverflowError:  # an integer token beyond double range
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise ValueError("point coordinates must be finite")
-    return value
+def _is_pair(pair) -> bool:
+    return type(pair) is list and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
 
 
 def _decode_points(rows) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("'points' must be a list of points, each a list of [re, im] pairs")
-    return np.array(
-        [[_decode_coordinate(pair) for pair in row] for row in rows],
-        dtype=np.complex128,
-    )
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("all points must have the same number of coordinates")
+    cells = np.array(rows, dtype=object)  # (n, d+1, 2) when every coordinate is a pair
+    if cells.ndim == 3 and cells.shape[2] == 2:
+        # bool is an int subclass; JSON true is not a coordinate.
+        if set(map(type, cells.ravel())) <= {int, float}:
+            try:
+                values = cells.astype(np.float64)
+            except OverflowError:  # an integer token beyond double range
+                raise ValueError("point coordinates must be finite") from None
+            if not np.isfinite(values).all():
+                raise ValueError("point coordinates must be finite")
+            return values.view(np.complex128)[..., 0]
+    elif cells.ndim < 3 and cells.size == 0:  # no coordinates; the width check reports it
+        return cells.astype(np.complex128)
+    bad = next(pair for row in rows for pair in row if not _is_pair(pair))
+    raise ValueError(f"a coordinate must be an [re, im] pair of numbers, got {bad!r}")
 
 
 def pointset_to_json(ps: PointSetFile) -> str:

@@ -1,5 +1,11 @@
 """Exact sampling of the projection-kernel determinantal process on CP^d.
 
+The process is the projection DPP of the r = C(d+L, d) weighted monomials
+sqrt(C_alpha) z^alpha / (1+|z|^2)^((d+L+1)/2), |alpha| <= L, pushed to CP^d
+through the affine chart z -> (1, z). For unit representatives its kernel is
+(r d!/pi^d) <p,q>^L up to a unimodular phase gauge, so its one-point
+intensity is the constant r d!/pi^d.
+
 Chain-rule rejection sampler (Hough, Krishnapur, Peres, Virag 2006, Alg. 18):
 the one-point intensity of the process is constant on CP^d, so uniform
 points are valid proposals. With p_1..p_i selected, a proposal x is accepted
@@ -18,17 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import ProjectivePoint
-from .kernel import KernelParams
-
 __all__ = [
+    "KernelParams",
     "SamplerConfig",
     "ProjectiveSample",
     "RejectionBudgetExceededError",
-    "sample_uniform_cp",
     "sample_projective_ensemble",
     "derive_trial_rng",
 ]
@@ -47,6 +51,32 @@ def _check_seed(seed: int) -> int:
     if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     return seed
+
+
+@dataclass(frozen=True)
+class KernelParams:
+    """Immutable parameters (d, L) of the weighted-monomial subspace."""
+
+    d: int
+    L: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.d, int) or self.d < 1:
+            raise ValueError("d must be a positive integer")
+        if not isinstance(self.L, int) or self.L < 0:
+            raise ValueError("L must be a non-negative integer")
+
+    @cached_property
+    def r(self) -> int:
+        """Subspace dimension C(d+L, d)."""
+        return math.comb(self.d + self.L, self.d)
+
+    @cached_property
+    def intensity(self) -> float:
+        """Constant one-point intensity on CP^d: r d! / pi^d."""
+        return math.exp(
+            math.log(self.r) + math.lgamma(self.d + 1) - self.d * math.log(math.pi)
+        )
 
 
 @dataclass(frozen=True)
@@ -91,13 +121,6 @@ def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 1e-150:
             return v / norm
-
-
-def sample_uniform_cp(d: int, rng: np.random.Generator) -> ProjectivePoint:
-    """One point from the normalized Fubini-Study volume on CP^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return ProjectivePoint(_uniform_unit_vector(d, rng))
 
 
 def _sample_points(

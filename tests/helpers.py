@@ -4,8 +4,6 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pensemble import ProjectivePoint
-
 
 def finite_floats(lo=-3.0, hi=3.0):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
@@ -24,7 +22,7 @@ def projective_points(draw, d):
 
     v = draw(complex_vectors(d + 1))
     assume(np.linalg.norm(v) > 1e-3)
-    return ProjectivePoint(v)
+    return unit_vector(v)
 
 
 def random_unitary(n, rng):

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from oracles import green_phi
 from pensemble import (
     EnergySpec,
+    KernelParams,
     ExperimentConfig,
     bound_constants,
     expected_projective_log,
@@ -30,8 +32,6 @@ from pensemble import (
     quadrature_expected_projective_riesz,
     run_experiment,
 )
-from pensemble.energy import _green_phi
-from pensemble.kernel import KernelParams
 from pensemble.sampler import _sample_points, derive_trial_rng
 
 SEED = 20_250_811
@@ -167,7 +167,7 @@ def test_criterion_5_green_energy_sampler_mean_as_stated(projective_report):
 def test_criterion_5_green_energy_sampler_mean_oracle_corrected(projective_report):
     # Oracle: r^2 d int_0^1 (1-(1-u)^L) phi(sqrt(u)) u^(d-1) du at d=2, L=1.
     val, _ = integrate.quad(
-        lambda u: -math.expm1(math.log1p(-u)) * float(_green_phi(2, math.sqrt(u))) * u,
+        lambda u: -math.expm1(math.log1p(-u)) * float(green_phi(2, math.sqrt(u))) * u,
         0.0,
         1.0,
         epsabs=1e-13,
@@ -189,7 +189,7 @@ def test_criterion_5_green_zero_mean_quadrature():
     worst = 0.0
     for d in (2, 3):
         val, _ = integrate.quad(
-            lambda u: float(_green_phi(d, math.sqrt(u))) * u ** (d - 1),
+            lambda u: float(green_phi(d, math.sqrt(u))) * u ** (d - 1),
             0.0,
             1.0,
             epsabs=1e-13,

@@ -195,6 +195,10 @@ def test_energy_flags_coincident_fiber_points(tmp_path):
         ("CP", [[[1.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]], b"[re, im] pair"),
         ("CP", [[1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]], b"[re, im] pair"),
         ("S", [[["NaN", 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]], b"finite"),
+        ("CP", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], b"same number of coordinates"),
+        ("CP", [[[True, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]], b"[re, im] pair"),
+        ("CP", [[["1.0", 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]], b"[re, im] pair"),
+        ("S", [[[None, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]], b"[re, im] pair"),
     ],
 )
 def test_energy_rejects_malformed_point_entries(tmp_path, space, points, message):

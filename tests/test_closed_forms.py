@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import green_phi
 from pensemble import (
     QuadratureError,
     beta,
@@ -210,13 +211,11 @@ def test_expected_green_energy_d2_L1():
 
 
 def test_expected_green_energy_matches_quadrature_oracle():
-    from pensemble.energy import _green_phi
-
     for d, L in [(2, 1), (2, 5), (3, 2)]:
         r = math.comb(d + L, d)
         val, _ = integrate.quad(
             lambda u: -math.expm1(L * math.log1p(-u))
-            * float(_green_phi(d, math.sqrt(u)))
+            * float(green_phi(d, math.sqrt(u)))
             * u ** (d - 1),
             0.0,
             1.0,
@@ -337,6 +336,33 @@ def test_balanced_lift_reproduces_balance_coefficient():
         gaps.append(abs(coeff - target))
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < 0.01
+
+
+@pytest.mark.parametrize(
+    "d, at_L_2_32_2048",
+    [(1, (-0.9865, -0.9267, -0.9209)), (2, (-0.6752, -0.5651, -0.5531)), (3, (-0.6127, -0.4831, -0.4652))],
+)
+def test_balanced_lift_beats_harmonic_bound_at_every_finite_n(d, at_L_2_32_2048):
+    # The headline claim at finite n, from closed forms only. With
+    # k = round(A_opt r^(1/(2d))) and n = k r, the normalised second-order
+    # term (E - V n^2) / n^(1 + 2/(2d+1)) of the exact expected lifted
+    # 2-energy lies below -harmonic_bound already at L = 2 and rises
+    # monotonically toward -projective_bound. At d = 3, L = 2048 (n ~ 1e11)
+    # E ~ 1e22 while the term is ~1e14, so the subtraction cancels about 8
+    # of the 16 digits; the checks below need fewer than 4.
+    bc = bound_constants(d)
+    sphere = continuous_sphere_energy(2 * d + 1, 2.0)
+    terms = []
+    for L in (2, 8, 32, 128, 512, 2048):
+        r = math.comb(d + L, d)
+        k = round(bc.A_opt * r ** (1.0 / (2.0 * d)))
+        n = k * r
+        energy = expected_sphere_2energy_exact(d, L, k).exact
+        terms.append((energy - sphere * n * n) / n ** (1.0 + 2.0 / (2.0 * d + 1.0)))
+    assert all(t < -bc.projective_bound < -bc.harmonic_bound for t in terms)
+    assert terms == sorted(terms) and len(set(terms)) == len(terms)
+    assert terms[-1] == pytest.approx(-bc.projective_bound, abs=1e-3)
+    assert [terms[0], terms[2], terms[5]] == pytest.approx(at_L_2_32_2048, abs=5e-5)
 
 
 def test_continuous_projective_energy_note():

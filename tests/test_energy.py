@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from helpers import projective_points, random_unitary
+from helpers import projective_points, random_unitary, unit_vector
+from oracles import fubini_sin_distance, green_function, green_phi
 from pensemble import (
     EnergyReport,
     KernelParams,
-    ProjectivePoint,
     SamplerConfig,
-    fubini_sin_distance,
     green_energy,
-    green_function,
     lift_to_sphere,
     log_energy,
     projective_log_energy,
@@ -23,7 +21,7 @@ from pensemble import (
     riesz_energy,
     sample_projective_ensemble,
 )
-from pensemble.energy import _green_phi, green_constant, projective_pair_sums
+from pensemble.energy import green_constant, projective_pair_sums
 
 
 def _roots_of_unity(k):
@@ -111,22 +109,18 @@ def test_energies_permutation_invariant():
 
 # ----------------------------------------------------------------- projective
 
-def _matrix(points):
-    return np.stack([p.coords for p in points])
-
-
 def _orthogonal_pair(d=2):
     p = np.zeros(d + 1, dtype=complex)
     p[0] = 1.0
     q = np.zeros(d + 1, dtype=complex)
     q[1] = 1.0
-    return ProjectivePoint(p), ProjectivePoint(q)
+    return p, q
 
 
 def test_projective_riesz_orthogonal_pair():
     p, q = _orthogonal_pair()
     for s in (0.5, 1.0, 3.0):
-        assert projective_riesz_energy(_matrix([p, q]), s) == pytest.approx(2.0, rel=1e-14)
+        assert projective_riesz_energy(np.stack([p, q]), s) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_projective_riesz_half_squared_overlap():
@@ -136,11 +130,11 @@ def test_projective_riesz_half_squared_overlap():
 
 def test_projective_riesz_single_point_and_range():
     p, q = _orthogonal_pair(d=1)
-    assert projective_riesz_energy(_matrix([p]), 1.0) == 0.0
+    assert projective_riesz_energy(np.stack([p]), 1.0) == 0.0
     with pytest.raises(ValueError):
-        projective_riesz_energy(_matrix([p, q]), 2.0)  # s must be < 2d = 2
+        projective_riesz_energy(np.stack([p, q]), 2.0)  # s must be < 2d = 2
     with pytest.raises(ValueError):
-        projective_riesz_energy(_matrix([p, q]), 0.0)
+        projective_riesz_energy(np.stack([p, q]), 0.0)
 
 
 def test_projective_riesz_coincident_flag():
@@ -150,13 +144,13 @@ def test_projective_riesz_coincident_flag():
 
 def test_projective_log_examples():
     p, q = _orthogonal_pair()
-    assert projective_log_energy(_matrix([p, q])) == pytest.approx(0.0, abs=1e-14)
+    assert projective_log_energy(np.stack([p, q])) == pytest.approx(0.0, abs=1e-14)
     # a pair with sin distance exactly 1/2, i.e. |<a,b>|^2 = 3/4
-    a = ProjectivePoint(np.array([1.0, 0.0]))
-    b = ProjectivePoint(np.array([math.sqrt(3.0), 1.0]))
+    a = np.array([1.0, 0.0])
+    b = unit_vector([math.sqrt(3.0), 1.0])
     assert fubini_sin_distance(a, b) == pytest.approx(0.5, rel=1e-12)
-    assert projective_log_energy(_matrix([a, b])) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-    assert projective_log_energy(_matrix([p])) == 0.0
+    assert projective_log_energy(np.stack([a, b])) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    assert projective_log_energy(np.stack([p])) == 0.0
 
 
 @given(projective_points(d=2), projective_points(d=2), projective_points(d=2))
@@ -166,7 +160,7 @@ def test_projective_energies_phase_and_unitary_invariant(p, q, w):
     pts = [p, q, w]
     sins = [fubini_sin_distance(a, b) for a in pts for b in pts if a is not b]
     assume(min(sins) > 1e-3)
-    mat = _matrix(pts)
+    mat = np.stack(pts)
     base = projective_riesz_energy(mat, 1.5)
     rotated = np.exp(1j * np.arange(3))[:, None] * mat
     assert projective_riesz_energy(rotated, 1.5) == pytest.approx(base, rel=1e-10)
@@ -191,41 +185,41 @@ def test_green_function_orthogonal_d2():
 
 def test_green_function_symmetric_and_guards():
     rng = np.random.default_rng(2)
-    p = ProjectivePoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    q = ProjectivePoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    assert green_function(2, p, q) == green_function(2, q, p)
-    assert math.isinf(green_function(2, p, p))
+    p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    assert green_energy(np.stack([p, q]), 2) == green_energy(np.stack([q, p]), 2)
+    assert math.isinf(green_energy(np.stack([p, np.exp(0.3j) * p]), 2))
     with pytest.raises(ValueError):
-        green_function(1, p, q)
+        green_energy(np.stack([p, q])[:, :2], 1)
 
 
 def test_green_energy_two_orthogonal_points():
     p, q = _orthogonal_pair()
-    assert green_energy(_matrix([p, q]), 2) == pytest.approx(-3.0 / (4.0 * math.pi**2), rel=1e-13)
-    assert green_energy(_matrix([p]), 2) == 0.0
+    assert green_energy(np.stack([p, q]), 2) == pytest.approx(-3.0 / (4.0 * math.pi**2), rel=1e-13)
+    assert green_energy(np.stack([p]), 2) == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_green_energy_matches_pairwise_green_function(d):
     rng = np.random.default_rng(14)
     pts = [
-        ProjectivePoint(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+        unit_vector(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
         for _ in range(6)
     ]
     brute = sum(
         green_function(d, a, b) for a in pts for b in pts if a is not b
     )
-    assert green_energy(_matrix(pts), d) == pytest.approx(brute, rel=1e-11)
+    assert green_energy(np.stack(pts), d) == pytest.approx(brute, rel=1e-11)
 
 
 def test_projective_pair_sums_match_pairwise_distances():
     rng = np.random.default_rng(16)
     pts = [
-        ProjectivePoint(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        unit_vector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         for _ in range(7)
     ]
     sins = [fubini_sin_distance(a, b) for a in pts for b in pts if a is not b]
-    riesz, log = projective_pair_sums(_matrix(pts), [1.3, 2.0, 4.0])
+    riesz, log = projective_pair_sums(np.stack(pts), [1.3, 2.0, 4.0])
     assert sorted(riesz) == [1.3, 2.0, 4.0]
     for s, value in riesz.items():
         assert value == pytest.approx(sum(x ** (-s) for x in sins), rel=1e-10)
@@ -245,26 +239,26 @@ def test_projective_pair_sums_reject_s_outside_range():
     p, q = _orthogonal_pair(d=3)
     for s in (0.0, -1.0, 6.0, 7.5):
         with pytest.raises(ValueError, match="0, 6"):
-            projective_pair_sums(_matrix([p, q]), [2.0, s])
+            projective_pair_sums(np.stack([p, q]), [2.0, s])
 
 
 def test_projective_riesz_matches_pairwise_distances():
     rng = np.random.default_rng(15)
     pts = [
-        ProjectivePoint(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        unit_vector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         for _ in range(5)
     ]
     brute = sum(
         fubini_sin_distance(a, b) ** (-1.3) for a in pts for b in pts if a is not b
     )
-    assert projective_riesz_energy(_matrix(pts), 1.3) == pytest.approx(brute, rel=1e-10)
+    assert projective_riesz_energy(np.stack(pts), 1.3) == pytest.approx(brute, rel=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_green_zero_mean_over_projective_space(d):
     # (pi^d/(d-1)!) * int_0^1 phi(sqrt(u)) u^(d-1) du must vanish.
     val, _ = integrate.quad(
-        lambda u: float(_green_phi(d, math.sqrt(u))) * u ** (d - 1),
+        lambda u: float(green_phi(d, math.sqrt(u))) * u ** (d - 1),
         0.0,
         1.0,
         epsabs=1e-13,

@@ -6,60 +6,43 @@ from hypothesis import given
 from scipy import integrate
 
 from helpers import complex_vectors, projective_points, random_unitary, unit_vector
-from pensemble import (
-    ChartPoint,
-    DimensionMismatchError,
-    PointAtInfinityError,
-    ProjectivePoint,
-    chart_jacobian,
-    chart_to_projective,
-    fubini_sin_distance,
-    projective_to_chart,
-)
+from oracles import chart_jacobian, chart_to_projective, fubini_sin_distance, projective_to_chart
+from pensemble.geometry import unit_rows
 
 
 def test_projective_point_is_normalized():
-    p = ProjectivePoint(np.array([3.0, 4.0j]))
-    assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-12)
-    assert p.d == 1
+    rows = unit_rows([[3.0, 4.0j], [0.0, -2.0]])
+    assert rows.shape == (2, 2)
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(rows[1], [0.0, -1.0], atol=1e-15)
 
 
 def test_projective_point_rejects_zero_and_nonfinite():
-    with pytest.raises(ValueError):
-        ProjectivePoint(np.zeros(3))
-    with pytest.raises(ValueError):
-        ProjectivePoint(np.array([1.0, np.inf]))
-
-
-def test_proj_eq_is_phase_blind():
-    p = ProjectivePoint(np.array([1.0, 1.0j, 0.5]))
-    q = ProjectivePoint(np.exp(0.73j) * p.coords)
-    assert p.proj_eq(q)
-    assert not p.proj_eq(ProjectivePoint(np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(ValueError, match="zero vector"):
+        unit_rows([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        unit_rows([[1.0, np.inf]])
+    with pytest.raises(ValueError, match="2 homogeneous"):
+        unit_rows([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="non-empty"):
+        unit_rows([1.0, 0.0])
 
 
 def test_fubini_orthogonal_points():
-    e1 = ProjectivePoint(np.array([1.0, 0.0, 0.0]))
-    e2 = ProjectivePoint(np.array([0.0, 1.0, 0.0]))
+    e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0])
     assert fubini_sin_distance(e1, e2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fubini_identical_points():
-    p = ProjectivePoint(np.array([1.0, 2.0j, -0.3]))
+    p = unit_vector([1.0, 2.0j, -0.3])
     assert fubini_sin_distance(p, p) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_fubini_half_overlap():
-    p = ProjectivePoint(np.array([1.0, 0.0]))
-    q = ProjectivePoint(np.array([1.0, 1.0]))
+    p = np.array([1.0, 0.0])
+    q = unit_vector([1.0, 1.0])
     assert fubini_sin_distance(p, q) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-
-
-def test_fubini_dimension_mismatch():
-    p = ProjectivePoint(np.array([1.0, 0.0]))
-    q = ProjectivePoint(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DimensionMismatchError):
-        fubini_sin_distance(p, q)
 
 
 @given(projective_points(d=2), projective_points(d=2))
@@ -72,70 +55,58 @@ def test_fubini_symmetric_and_bounded(p, q):
 @given(projective_points(d=2))
 def test_fubini_phase_invariance(p):
     rng = np.random.default_rng(7)
-    q = ProjectivePoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    q = unit_vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     base = fubini_sin_distance(p, q)
     for phase in (0.31, 2.1, -1.2):
-        rotated = ProjectivePoint(np.exp(1j * phase) * p.coords)
+        rotated = np.exp(1j * phase) * p
         assert abs(fubini_sin_distance(rotated, q) - base) <= 1e-12
 
 
 def test_fubini_unitary_invariance():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        p = ProjectivePoint(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        q = ProjectivePoint(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        p = unit_vector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        q = unit_vector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         u = random_unitary(4, rng)
         base = fubini_sin_distance(p, q)
-        moved = fubini_sin_distance(
-            ProjectivePoint(u @ p.coords), ProjectivePoint(u @ q.coords)
-        )
+        moved = fubini_sin_distance(u @ p, u @ q)
         assert abs(moved - base) <= 1e-10
 
 
 def test_chart_to_projective_origin():
-    p = chart_to_projective(ChartPoint(np.zeros(2)))
-    assert np.allclose(p.coords, [1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(chart_to_projective(np.zeros(2)), [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_chart_to_projective_one():
-    p = chart_to_projective(ChartPoint(np.array([1.0])))
-    assert np.allclose(p.coords, np.array([1.0, 1.0]) / math.sqrt(2.0), atol=1e-15)
+    p = chart_to_projective(np.array([1.0]))
+    assert np.allclose(p, np.array([1.0, 1.0]) / math.sqrt(2.0), atol=1e-15)
 
 
 @given(complex_vectors(size=3))
 def test_chart_round_trip(z):
-    back = projective_to_chart(chart_to_projective(ChartPoint(z)))
-    assert np.allclose(back.z, z, atol=1e-9, rtol=1e-9)
+    back = projective_to_chart(chart_to_projective(z))
+    assert np.allclose(back, z, atol=1e-9, rtol=1e-9)
 
 
 def test_projective_to_chart_basics():
-    assert np.allclose(
-        projective_to_chart(ProjectivePoint(np.array([1.0, 0.0, 0.0]))).z, 0.0
-    )
-    p = ProjectivePoint(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    assert np.allclose(projective_to_chart(p).z, [1.0], atol=1e-15)
-
-
-def test_projective_to_chart_point_at_infinity():
-    with pytest.raises(PointAtInfinityError):
-        projective_to_chart(ProjectivePoint(np.array([0.0, 1.0])))
+    assert np.allclose(projective_to_chart(np.array([1.0, 0.0, 0.0])), 0.0)
+    p = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert np.allclose(projective_to_chart(p), [1.0], atol=1e-15)
 
 
 def test_chart_jacobian_origin():
     for d in (1, 2, 5):
-        assert chart_jacobian(ChartPoint(np.zeros(d)), d) == pytest.approx(1.0)
+        assert chart_jacobian(np.zeros(d)) == pytest.approx(1.0)
 
 
 def test_chart_jacobian_unit_norm_d2():
-    z = ChartPoint(np.array([1.0, 0.0]))
-    assert chart_jacobian(z, 2) == pytest.approx(0.125, rel=1e-14)
+    assert chart_jacobian(np.array([1.0, 0.0])) == pytest.approx(0.125, rel=1e-14)
 
 
 @given(complex_vectors(size=2))
 def test_chart_jacobian_inverse_identity(z):
-    cp = ChartPoint(z)
-    jac = chart_jacobian(cp, 2)
-    assert jac * (1.0 + cp.squared_norm()) ** 3 == pytest.approx(1.0, rel=1e-12)
+    squared_norm = float(np.vdot(z, z).real)
+    assert chart_jacobian(z) * (1.0 + squared_norm) ** 3 == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

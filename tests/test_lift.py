@@ -104,12 +104,43 @@ def test_sphere_2energy_duplicated_row_at_two_phases(k, seed):
 def test_sphere_2energy_duplicated_row_at_one_phase_is_infinite():
     single = lift_to_sphere(np.array([[1.0, 0.5j, -0.25]]), 4, np.random.default_rng(80))
     config = SphereConfiguration(
-        points=np.vstack([single.points, single.points]),
-        k=4,
+        representatives=np.repeat(single.representatives, 2, axis=0),
         phases=np.repeat(single.phases, 2),
+        k=4,
     )
     assert riesz_energy(realify(config), 2.0) == math.inf
     assert sphere_2energy(config) == math.inf
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+@pytest.mark.parametrize("seed", [90, 91, 92])
+def test_sphere_2energy_matches_pairwise_sum_on_any_configuration(k, seed):
+    # Any representatives and phases build a valid lift, so the closed form
+    # holds for every configuration that can be constructed.
+    rng = np.random.default_rng(seed)
+    config = SphereConfiguration(
+        representatives=rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)),
+        phases=rng.uniform(-10.0, 10.0, size=5),
+        k=k,
+    )
+    assert config.n == 5 * k
+    assert np.allclose(np.linalg.norm(config.points, axis=1), 1.0, atol=1e-12)
+    assert sphere_2energy(config) == pytest.approx(riesz_energy(realify(config), 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"representatives": np.zeros((2, 3)), "phases": np.zeros(2), "k": 2}, "zero vector"),
+        ({"representatives": np.eye(3), "phases": np.zeros(2), "k": 2}, "one finite offset"),
+        ({"representatives": np.eye(3), "phases": [0.0, np.nan, 1.0], "k": 2}, "one finite offset"),
+        ({"representatives": np.eye(3), "phases": np.zeros(3), "k": 0}, "positive integer"),
+        ({"representatives": np.eye(3), "phases": np.zeros(3), "k": 2.0}, "positive integer"),
+    ],
+)
+def test_sphere_configuration_rejects_what_is_not_a_lift(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SphereConfiguration(**fields)
 
 
 def test_realify_examples():

@@ -110,3 +110,23 @@ def test_pointset_file_io(tmp_path):
 def test_pointset_missing_field_rejected():
     with pytest.raises(ValueError):
         pointset_from_json('{"space": "CP", "d": 2}')
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]], "same number of coordinates"),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [True, 0.0]]], r"got \[True, 0.0\]"),
+        ([[[1.0, 0.0], ["1.0", 1.0]]], r"got \['1.0', 1.0\]"),
+        ([[[1.0, None], [0.0, 1.0]]], r"got \[1.0, None\]"),
+        ([[[1.0, 0.0], [0.0, 1.0, 2.0]]], r"got \[0.0, 1.0, 2.0\]"),
+        ([[[1.0, 0.0], 0.5]], "got 0.5"),
+        ([[[1.0, 0.0], [10**400, 0.0]]], "finite"),
+        ([[[1.0, 0.0], [-math.inf, 0.0]]], "finite"),
+    ],
+    ids=["ragged", "true", "string", "null", "triple", "bare-number", "huge-int", "infinity"],
+)
+def test_pointset_rejects_malformed_points(points, message):
+    doc = {"space": "CP", "d": 1, "L": 1, "seed": 1, "points": points}
+    with pytest.raises(ValueError, match=message):
+        pointset_from_json(json.dumps(doc))

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import feature_vector, projective_to_chart
 from pensemble import (
     KernelParams,
-    ProjectivePoint,
     RejectionBudgetExceededError,
     SamplerConfig,
     derive_trial_rng,
-    feature_vector,
-    projective_to_chart,
     sample_projective_ensemble,
-    sample_uniform_cp,
 )
 from pensemble.sampler import _sample_points, _uniform_unit_vector
 
@@ -25,10 +22,15 @@ def _chart_radial_stat(points):
     return 1.0 - np.abs(points[:, 0]) ** 2
 
 
+def _uniform_points(d, n, rng):
+    # The sampler's proposals: uniform on CP^d, i.e. on the unit sphere of C^(d+1).
+    return np.stack([_uniform_unit_vector(d, rng) for _ in range(n)])
+
+
 def test_uniform_chart_radial_cdf():
     d, n = 2, 100_000
     rng = np.random.default_rng(101)
-    pts = np.stack([sample_uniform_cp(d, rng).coords for _ in range(n)])
+    pts = _uniform_points(d, n, rng)
     u = _chart_radial_stat(pts)
     res = stats.kstest(u, lambda x: x**d)
     assert res.pvalue > KS_ALPHA
@@ -36,9 +38,7 @@ def test_uniform_chart_radial_cdf():
 
 def test_uniform_d1_overlap_is_uniform():
     rng = np.random.default_rng(103)
-    vals = np.array(
-        [abs(sample_uniform_cp(1, rng).coords[0]) ** 2 for _ in range(100_000)]
-    )
+    vals = np.abs(_uniform_points(1, 100_000, rng)[:, 0]) ** 2
     res = stats.kstest(vals, "uniform")
     assert res.pvalue > KS_ALPHA
 
@@ -46,7 +46,7 @@ def test_uniform_d1_overlap_is_uniform():
 def test_uniform_overlap_mean_matches_beta_moment():
     d, n = 3, 100_000
     rng = np.random.default_rng(107)
-    vals = np.array([abs(sample_uniform_cp(d, rng).coords[0]) ** 2 for _ in range(n)])
+    vals = np.abs(_uniform_points(d, n, rng)[:, 0]) ** 2
     mean = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(mean - 1.0 / (d + 1)) <= 4.0 * se
@@ -119,7 +119,7 @@ def _reference_sample(params, rng):
         while True:
             tries += 1
             x = _uniform_unit_vector(params.d, rng)
-            v = feature_vector(projective_to_chart(ProjectivePoint(x)), params)
+            v = feature_vector(projective_to_chart(x), params)
             w = v - sum((np.vdot(u, v) * u for u in basis), np.zeros_like(v))
             ratio = np.vdot(w, w).real / np.vdot(v, v).real
             if rng.random() < ratio:
@@ -160,7 +160,7 @@ def test_one_point_intensity_matches_uniform_two_sample_ks():
     pooled = np.concatenate(pooled)
     assert pooled.size >= 100_000
     rng = np.random.default_rng(910)
-    uniform = np.stack([sample_uniform_cp(d, rng).coords for _ in range(100_000)])
+    uniform = _uniform_points(d, 100_000, rng)
     res = stats.ks_2samp(pooled, _chart_radial_stat(uniform))
     assert res.pvalue > KS_ALPHA
 
