@@ -21,7 +21,6 @@ from .closed_forms import (
     quadrature_expected_projective_riesz,
 )
 from .energy import (
-    EnergyReport,
     green_energy,
     log_energy,
     projective_log_energy,
@@ -35,7 +34,6 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentReport,
     default_energy_specs,
-    emit_figure1_data,
     run_experiment,
 )
 from .pointset import PointSetFile, read_pointset, write_pointset

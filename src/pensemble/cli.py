@@ -8,6 +8,7 @@ PENSEMBLE_SEED environment variable. Structured results go to stdout as JSON
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -22,7 +23,6 @@ from .closed_forms import (
     expected_sphere_2energy_exact,
 )
 from .energy import (
-    EnergyReport,
     green_energy,
     log_energy,
     projective_log_energy,
@@ -30,12 +30,7 @@ from .energy import (
     riesz_energy,
 )
 from .lift import lift_to_sphere, realify
-from .montecarlo import (
-    ExperimentConfig,
-    default_energy_specs,
-    emit_figure1_data,
-    run_experiment,
-)
+from .montecarlo import ExperimentConfig, default_energy_specs, run_experiment
 from .pointset import (
     SPACE_PROJECTIVE,
     SPACE_SPHERE,
@@ -59,6 +54,19 @@ def _resolve_seed(value: Optional[int]) -> int:
     return _check_seed(value)
 
 
+def _read_projective(path: str, command: str) -> PointSetFile:
+    """Read a point-set file that must hold projective ("CP") representatives.
+
+    The rows of an "S" file come in fibers of projectively equal points, so
+    a projective energy of them is always infinite and a lift of them is no
+    lift of a projective sample.
+    """
+    ps = read_pointset(path)
+    if ps.space != SPACE_PROJECTIVE:
+        raise ValueError(f"{command} expects a projective ('CP') point-set file")
+    return ps
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -80,9 +88,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    ps = read_pointset(args.infile)
-    if ps.space != SPACE_PROJECTIVE:
-        raise ValueError("lift expects a projective ('CP') point-set file")
+    ps = _read_projective(args.infile, "lift")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     config = lift_to_sphere(ps.points, args.k, rng)
     out = PointSetFile(
@@ -102,8 +108,11 @@ _ENERGY_KINDS = {
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    ps = read_pointset(args.infile)
     kind = _ENERGY_KINDS[args.kind]
+    if kind in ("riesz", "log"):
+        ps = read_pointset(args.infile)
+    else:
+        ps = _read_projective(args.infile, f"energy --kind {args.kind}")
     s = 0.0
     if kind in ("riesz", "projective_riesz"):
         if args.s is None:
@@ -119,8 +128,15 @@ def cmd_energy(args: argparse.Namespace) -> int:
         value = projective_log_energy(ps.points)
     else:
         value = green_energy(ps.points, ps.d)
-    report = EnergyReport(kind=kind, s=s, value=value, n_points=ps.n)
-    sys.stdout.write(dumps(report.to_dict()))
+    infinite = math.isinf(value)
+    doc = {
+        "kind": kind,
+        "s": s,
+        "value": None if infinite else value,
+        "infinite": infinite,
+        "n_points": ps.n,
+    }
+    sys.stdout.write(dumps(doc))
     return 0
 
 
@@ -170,11 +186,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
-    rows = emit_figure1_data(args.d_max)
+    if args.d_max < 1:
+        raise ValueError("d_max must be >= 1")
     lines = ["d,projective_bound,harmonic_bound"]
-    lines.extend(
-        f"{d},{format_float(pb)},{format_float(hb)}" for d, pb, hb in rows
-    )
+    for d in range(1, args.d_max + 1):
+        consts = bound_constants(d)
+        lines.append(
+            f"{d},{format_float(consts.projective_bound)},{format_float(consts.harmonic_bound)}"
+        )
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -16,7 +16,9 @@ from typing import Optional
 
 from scipy import integrate, special
 
-from .energy import _fiber_2energy, _green_combination
+from .energy import _check_projective_s, _fiber_2energy, _green_combination
+from .lift import _check_k
+from .sampler import KernelParams, _check_d
 
 __all__ = [
     "ExpectedEnergy",
@@ -105,20 +107,17 @@ class BoundConstants:
 
 
 # --------------------------------------------------------------------------
-# Validation helpers.
+# Domain of the expected energies.
 
-def _check_d(d: int, minimum: int = 1) -> None:
-    if not isinstance(d, int) or d < minimum:
-        raise ValueError(f"d must be an integer >= {minimum}")
+def _checked_r(d: int, L: int) -> float:
+    """r = KernelParams(d, L).r, on the closed forms' domain d >= 1, L >= 1.
 
-
-def _check_L(L: int, minimum: int = 1) -> None:
-    if not isinstance(L, int) or L < minimum:
-        raise ValueError(f"L must be an integer >= {minimum}")
-
-
-def _r_of(d: int, L: int) -> int:
-    return math.comb(d + L, d)
+    At L = 0 (one point, no pairs) the Beta-function forms would return
+    rounding noise, some of it negative, instead of 0, so L = 0 is refused.
+    """
+    if not isinstance(L, int) or L < 1:
+        raise ValueError("L must be an integer >= 1")
+    return float(KernelParams(d, L).r)
 
 
 # --------------------------------------------------------------------------
@@ -157,11 +156,8 @@ def expected_projective_riesz(d: int, L: int, s: float) -> ExpectedEnergy:
     leading = d/(d - s/2) r^2,
     second order = -d Gamma(d - s/2) / (d!)^(1 - s/(2d)) * r^(1 + s/(2d)).
     """
-    _check_d(d)
-    _check_L(L)
-    if not 0.0 < s < 2.0 * d:
-        raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
-    r = float(_r_of(d, L))
+    r = _checked_r(d, L)
+    _check_projective_s(s, d)
     leading = d / (d - s / 2.0) * r * r
     exact = leading - r * r * d * beta(d - s / 2.0, L + 1)
     return ExpectedEnergy(
@@ -183,9 +179,7 @@ def expected_projective_log(d: int, L: int) -> ExpectedEnergy:
     correction negative (repulsion pushes the energy below the r^2/(2d)
     uniform baseline), which quadrature of the pair intensity confirms.
     """
-    _check_d(d)
-    _check_L(L)
-    r = float(_r_of(d, L))
+    r = _checked_r(d, L)
     harmonic_span = math.fsum(1.0 / (d + j) for j in range(L + 1))
     leading = r * r / (2.0 * d)
     exact = leading - 0.5 * r * r * d * beta(d, L + 1) * harmonic_span
@@ -205,11 +199,8 @@ def expected_sphere_2energy_exact(d: int, L: int, k: int) -> ExpectedEnergy:
     lifted configuration holds (see ``energy._fiber_2energy``), plus (k^2/2)
     times the expected projective sin-distance 1-energy.
     """
-    _check_d(d)
-    _check_L(L)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
-    r = float(_r_of(d, L))
+    r = _checked_r(d, L)
+    _check_k(k)
     fiber = r * _fiber_2energy(k)
     cross = expected_projective_riesz(d, L, 1.0)
     exact = fiber + 0.5 * k * k * cross.exact
@@ -231,9 +222,7 @@ def expected_green_energy(d: int, L: int) -> ExpectedEnergy:
     energy in :mod:`pensemble.energy`; the r^2 terms cancel exactly, leaving
     second-order decay -(d!)^(1-1/d) / (4 pi^d (d-1)) * r^(2 - 1/d).
     """
-    _check_d(d, minimum=2)
-    _check_L(L)
-    r = _r_of(d, L)
+    r = _checked_r(d, L)
     exact = _green_combination(
         d,
         expected_projective_log(d, L).exact,
@@ -316,10 +305,8 @@ def quadrature_expected_projective_riesz(d: int, L: int, s: float) -> float:
     u -> 0 cancellation costs no precision; the adaptive scheme splits the
     endpoint region on its own when s/2 approaches d.
     """
-    _check_d(d)
-    _check_L(L)
-    if not 0.0 < s < 2.0 * d:
-        raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
+    r = _checked_r(d, L)
+    _check_projective_s(s, d)
     c = d - s / 2.0 - 1.0
 
     def integrand(u: float) -> float:
@@ -337,5 +324,4 @@ def quadrature_expected_projective_riesz(d: int, L: int, s: float) -> float:
         raise QuadratureError(
             f"quadrature did not converge: achieved relative tolerance {achieved:.3e}"
         )
-    r = float(_r_of(d, L))
     return r * r * d * value

@@ -15,16 +15,14 @@ S^(2d+1) also has an exact form per pair of fibers, :func:`sphere_2energy`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import unit_rows
+from .geometry import COINCIDENT_OVERLAP, unit_rows
 
 __all__ = [
-    "EnergyReport",
     "COINCIDENCE_FLOOR",
     "riesz_energy",
     "log_energy",
@@ -40,36 +38,7 @@ __all__ = [
 # coincident pair: rounding noise, not geometry.
 COINCIDENCE_FLOOR = 1e-15
 
-# |<p,q>| at or above this is indistinguishable from projective equality in
-# double precision (the overlap of bit-identical unit vectors lands within a
-# few ulps of 1, which the sqrt blows up to sin ~ 1e-8); such pairs collapse
-# to an exact coincidence so the distance floor can flag them.
-_COINCIDENT_OVERLAP = 1.0 - 1e-15
-
 _BLOCK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """One computed energy value with its kind and parameters."""
-
-    kind: str  # riesz | log | projective_riesz | projective_log | green
-    s: float   # 0.0 for the logarithmic and green kinds
-    value: float
-    n_points: int
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "value": None if self.infinite else self.value,
-            "infinite": self.infinite,
-            "n_points": self.n_points,
-        }
 
 
 def _blocked_pair_sum(
@@ -111,10 +80,15 @@ def _as_point_matrix(points) -> np.ndarray:
     return pts
 
 
-def riesz_energy(points, s: float) -> float:
-    """Sum of 1/|x_i - x_j|^s over ordered pairs of Euclidean points."""
+def _check_riesz_s(s: float) -> None:
+    """The Euclidean Riesz exponent rule s > 0."""
     if not s > 0:
         raise ValueError("s must be positive")
+
+
+def riesz_energy(points, s: float) -> float:
+    """Sum of 1/|x_i - x_j|^s over ordered pairs of Euclidean points."""
+    _check_riesz_s(s)
     pts = _as_point_matrix(points)
     return _blocked_pair_sum(
         pts.shape[0],
@@ -211,8 +185,16 @@ def sphere_2energy(config) -> float:
 def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:
     overlap = np.clip(np.abs(mat[a:b] @ mat.conj().T), 0.0, 1.0)
     sin = np.sqrt((1.0 - overlap) * (1.0 + overlap))
-    sin[overlap >= _COINCIDENT_OVERLAP] = 0.0
+    # Coincident rows collapse to distance 0, so the distance floor flags them.
+    sin[overlap >= COINCIDENT_OVERLAP] = 0.0
     return sin
+
+
+def _check_projective_s(s: float, d: int) -> None:
+    """The projective Riesz exponent rule 0 < s < 2d: sin(d_FS)^(-s) is
+    integrable on CP^d, so its expected energy is finite, exactly there."""
+    if not 0.0 < s < 2.0 * d:
+        raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
 
 
 def projective_pair_sums(points, s_values) -> tuple[dict[float, float], float]:
@@ -226,8 +208,7 @@ def projective_pair_sums(points, s_values) -> tuple[dict[float, float], float]:
     d = mat.shape[1] - 1
     s_values = list(dict.fromkeys(float(s) for s in s_values))
     for s in s_values:
-        if not 0.0 < s < 2.0 * d:
-            raise ValueError(f"s must lie in (0, 2d) = (0, {2 * d}); got {s}")
+        _check_projective_s(s, d)
     summands = [lambda dm, s=s: dm ** (-s) for s in s_values]
     summands.append(lambda dm: -np.log(dm))
     *riesz, log = _blocked_pair_sum(
@@ -277,7 +258,8 @@ def _green_combination(d: int, log_term, riesz_term: Callable, pairs):
     with riesz_term(s) the s-term. On one pair's -log sin and sin^(-s) with
     pairs = 1 this is the Green function; on ordered-pair sums with
     pairs = n(n-1) it is the Green energy; on expected sums it is the
-    expected Green energy.
+    expected Green energy. Every Green path reaches green_constant, the one
+    check of the Green domain d >= 2.
     """
     bracket = log_term
     for s in _green_s_values(d):
@@ -286,9 +268,8 @@ def _green_combination(d: int, log_term, riesz_term: Callable, pairs):
 
 
 def green_energy(points, d: int) -> float:
-    """Sum of the Green function over ordered pairs of points in CP^d."""
-    if d < 2:
-        raise ValueError("the Green function is implemented for d >= 2 only")
+    """Sum of the Green function over ordered pairs of points in CP^d, d >= 2."""
+    green_constant(d)  # the Green domain, checked before the pair pass
     shape = np.shape(points)
     if len(shape) == 2 and shape[1] - 1 != d:
         raise ValueError(f"points live in CP^{shape[1] - 1}, expected CP^{d}")

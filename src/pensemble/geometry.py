@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["unit_rows"]
+__all__ = ["COINCIDENT_OVERLAP", "unit_rows"]
+
+# Two unit rows with |<p,q>| at or above this are the same point of CP^d: in
+# double precision the overlap of bit-identical unit vectors lands within a
+# few ulps of 1, which sqrt(1 - |<p,q>|^2) would blow up to sin ~ 1e-8.
+COINCIDENT_OVERLAP = 1.0 - 1e-15
 
 
 def unit_rows(points) -> np.ndarray:

@@ -22,6 +22,12 @@ from .sampler import ProjectiveSample
 __all__ = ["SphereConfiguration", "lift_to_sphere", "realify"]
 
 
+def _check_k(k: int) -> None:
+    """The fiber-size rule, shared by the lift and its closed form."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 @dataclass(frozen=True, eq=False)
 class SphereConfiguration:
     """The lift of r projective points: a fiber of k unit vectors per point.
@@ -37,8 +43,7 @@ class SphereConfiguration:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("k must be a positive integer")
+        _check_k(self.k)
         reps = unit_rows(self.representatives)
         phases = np.array(self.phases, dtype=np.float64)
         if phases.shape != reps.shape[:1] or not np.all(np.isfinite(phases)):

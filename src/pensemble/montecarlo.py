@@ -13,18 +13,19 @@ import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
 from .closed_forms import (
-    bound_constants,
     expected_green_energy,
     expected_projective_log,
     expected_projective_riesz,
     expected_sphere_2energy_exact,
 )
 from .energy import (
+    _check_riesz_s,
     _green_combination,
     _green_s_values,
     projective_pair_sums,
@@ -32,7 +33,7 @@ from .energy import (
     sphere_2energy,
 )
 from .lift import lift_to_sphere, realify
-from .sampler import KernelParams, _sample_points, derive_trial_rng
+from .sampler import KernelParams, _check_seed, _sample_points, derive_trial_rng
 
 __all__ = [
     "EnergySpec",
@@ -41,7 +42,6 @@ __all__ = [
     "ExperimentReport",
     "default_energy_specs",
     "run_experiment",
-    "emit_figure1_data",
 ]
 
 _KINDS = ("projective_riesz", "projective_log", "green", "sphere_riesz")
@@ -67,7 +67,13 @@ class EnergySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Trial plan: ensemble parameters, requested energies, and seeding."""
+    """Trial plan: ensemble parameters, requested energies, and seeding.
+
+    The whole plan is checked at construction, before any trial runs: the
+    seed and (d, L) by the sampler's own rules, and every energy by
+    evaluating its closed form once, so the closed forms' rules reject a bad
+    s, d or k. ``exact_values`` keeps those values for the report.
+    """
 
     d: int
     L: int
@@ -77,22 +83,24 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.L < 1 or self.k < 0:
-            raise ValueError("require d >= 1, L >= 1 and k >= 0")
-        if self.trials < 2:
+        _check_seed(self.master_seed)
+        self.params  # built now, so KernelParams rejects a bad d or L here
+        if not isinstance(self.k, int) or self.k < 0:
+            raise ValueError("k must be a non-negative integer (0 means no lift)")
+        if not isinstance(self.trials, int) or self.trials < 2:
             raise ValueError("trials must be >= 2 so the standard error is defined")
         if not self.energies:
             raise ValueError("at least one energy spec is required")
-        for spec in self.energies:
-            if spec.kind == "projective_riesz" and not 0.0 < spec.s < 2.0 * self.d:
-                raise ValueError(f"projective_riesz needs s in (0, {2 * self.d})")
-            if spec.kind == "sphere_riesz":
-                if self.k < 1:
-                    raise ValueError("sphere_riesz requires a lift (k >= 1)")
-                if spec.s <= 0:
-                    raise ValueError("sphere_riesz requires s > 0")
-            if spec.kind == "green" and self.d < 2:
-                raise ValueError("green energy requires d >= 2")
+        self.exact_values  # evaluated now, so a spec off its closed form's domain fails here
+
+    @cached_property
+    def params(self) -> KernelParams:
+        return KernelParams(self.d, self.L)
+
+    @cached_property
+    def exact_values(self) -> tuple[Optional[float], ...]:
+        """The closed-form expectation of each spec, None where there is none."""
+        return tuple(_closed_form(self, spec) for spec in self.energies)
 
 
 @dataclass(frozen=True)
@@ -160,8 +168,7 @@ def default_energy_specs(d: int, k: int) -> tuple[EnergySpec, ...]:
 
 def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
     rng = derive_trial_rng(config.master_seed, trial_index)
-    params = KernelParams(config.d, config.L)
-    points, _ = _sample_points(params, rng)
+    points, _ = _sample_points(config.params, rng)
     lifted = lift_to_sphere(points, config.k, rng) if config.k >= 1 else None
     kinds = {spec.kind for spec in config.energies}
     if kinds - {"sphere_riesz"}:
@@ -177,25 +184,13 @@ def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
         elif spec.kind == "projective_log":
             out[i] = log
         elif spec.kind == "green":
-            pairs = params.r * (params.r - 1)
+            pairs = config.params.r * (config.params.r - 1)
             out[i] = _green_combination(config.d, log, riesz.__getitem__, pairs)
         elif spec.s == 2.0:  # sphere_riesz
             out[i] = sphere_2energy(lifted)
         else:  # sphere_riesz away from s = 2 has no per-fiber closed form
             out[i] = riesz_energy(realify(lifted), spec.s)
     return out
-
-
-_WORKER_CONFIG: Optional[ExperimentConfig] = None
-
-
-def _worker_init(config: ExperimentConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker_trial(trial_index: int) -> np.ndarray:
-    return _trial_values(_WORKER_CONFIG, trial_index)
 
 
 def _closed_form(config: ExperimentConfig, spec: EnergySpec) -> Optional[float]:
@@ -205,9 +200,12 @@ def _closed_form(config: ExperimentConfig, spec: EnergySpec) -> Optional[float]:
         return expected_projective_log(config.d, config.L).exact
     if spec.kind == "green":
         return expected_green_energy(config.d, config.L).exact
+    if config.k < 1:
+        raise ValueError("sphere_riesz requires a lift (k >= 1)")
     if spec.s == 2.0:
         return expected_sphere_2energy_exact(config.d, config.L, config.k).exact
-    return None  # no closed form for sphere Riesz away from s = 2
+    _check_riesz_s(spec.s)  # no closed form for sphere Riesz away from s = 2
+    return None
 
 
 def _estimator_for(config: ExperimentConfig, spec: EnergySpec) -> str:
@@ -243,12 +241,11 @@ def _build_report(
     if retained.shape[0] < 2:
         raise RuntimeError("fewer than 2 trials retained; the standard error is undefined")
     results = []
-    for col, spec in enumerate(config.energies):
+    for col, (spec, exact) in enumerate(zip(config.energies, config.exact_values)):
         estimator = _estimator_for(config, spec)
         estimate, std, se, label = _aggregate_column(
             retained[:, col], estimator, _MOM_BLOCKS
         )
-        exact = _closed_form(config, spec)
         if exact is None:
             z = None
         elif se > 0.0:
@@ -294,20 +291,9 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> E
         rows = [_trial_values(config, i) for i in range(config.trials)]
     else:
         chunk = max(1, config.trials // (workers * 8))
-        with multiprocessing.get_context().Pool(
-            processes=workers, initializer=_worker_init, initargs=(config,)
-        ) as pool:
-            rows = pool.map(_worker_trial, range(config.trials), chunksize=chunk)
+        with multiprocessing.get_context().Pool(processes=workers) as pool:
+            rows = pool.map(
+                partial(_trial_values, config), range(config.trials), chunksize=chunk
+            )
     values = np.vstack(rows)
     return _build_report(config, values, time.perf_counter() - start)
-
-
-def emit_figure1_data(d_max: int) -> list[tuple[int, float, float]]:
-    """Rows (d, projective_bound, harmonic_bound) for d = 1..d_max."""
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    rows = []
-    for d in range(1, d_max + 1):
-        consts = bound_constants(d)
-        rows.append((d, consts.projective_bound, consts.harmonic_bound))
-    return rows

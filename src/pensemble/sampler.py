@@ -28,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import COINCIDENT_OVERLAP
+
 __all__ = [
     "KernelParams",
     "SamplerConfig",
@@ -53,6 +55,12 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_d(d: int) -> None:
+    """The dimension rule for CP^d, shared by every layer that takes a d."""
+    if not isinstance(d, int) or d < 1:
+        raise ValueError("d must be a positive integer")
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Immutable parameters (d, L) of the weighted-monomial subspace."""
@@ -61,8 +69,7 @@ class KernelParams:
     L: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError("d must be a positive integer")
+        _check_d(self.d)
         if not isinstance(self.L, int) or self.L < 0:
             raise ValueError("L must be a non-negative integer")
 
@@ -153,11 +160,12 @@ def _sample_points(
     return points, proposals
 
 
-def _assert_no_coincidence(matrix: np.ndarray, tol: float = 1e-12) -> None:
-    # Probability-zero event; catching it here beats silent infinities downstream.
+def _assert_no_coincidence(matrix: np.ndarray) -> None:
+    # Probability-zero event; catching it here beats silent infinities
+    # downstream, and the energies flag coincidence at the same overlap.
     gram = np.abs(matrix @ matrix.conj().T)
     np.fill_diagonal(gram, 0.0)
-    if gram.size and gram.max() >= 1.0 - tol:
+    if gram.size and gram.max() >= COINCIDENT_OVERLAP:
         raise RuntimeError("sampler produced two projectively equal points")
 
 

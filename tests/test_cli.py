@@ -180,13 +180,32 @@ def test_energy_green_rejects_d1_file(tmp_path):
 
 
 def test_energy_flags_coincident_fiber_points(tmp_path):
-    # Sphere fibers are projectively coincident; the projective energy must flag.
+    # Two points of one fiber (a row and a phase-rotated copy) are
+    # projectively coincident; the projective energy must flag them.
+    cp = tmp_path / "cp.json"
+    run_cli("sample", "--d", "1", "--L", "1", "--seed", "4", "--out", str(cp))
+    doc = json.loads(cp.read_text())
+    x = doc["points"][0]
+    doc["points"].append([[-im, re] for re, im in x])  # i * x
+    cp.write_text(json.dumps(doc))
+    doc = json.loads(run_cli("energy", "--kind", "projective", "--s", "1", "--in", str(cp)).stdout)
+    assert doc["infinite"] is True and doc["value"] is None
+
+
+@pytest.mark.parametrize(
+    "kind", [("projective", "--s", "1"), ("projective-log",), ("green",)], ids=lambda k: k[0]
+)
+def test_projective_energies_reject_sphere_file(tmp_path, kind):
+    # Every row of an S file shares its projective point with its fiber, so
+    # a projective energy of it would always be infinite.
     cp = tmp_path / "cp.json"
     sp = tmp_path / "s.json"
-    run_cli("sample", "--d", "1", "--L", "1", "--seed", "4", "--out", str(cp))
-    run_cli("lift", "--k", "2", "--seed", "5", "--in", str(cp), "--out", str(sp))
-    doc = json.loads(run_cli("energy", "--kind", "projective", "--s", "1", "--in", str(sp)).stdout)
-    assert doc["infinite"] is True and doc["value"] is None
+    run_cli("sample", "--d", "2", "--L", "1", "--seed", "4", "--out", str(cp))
+    run_cli("lift", "--k", "4", "--seed", "5", "--in", str(cp), "--out", str(sp))
+    res = run_cli("energy", "--kind", *kind, "--in", str(sp))
+    assert res.returncode == 2 and res.stdout == b""
+    message = f"error: energy --kind {kind[0]} expects a projective ('CP') point-set file\n"
+    assert res.stderr == message.encode()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy import integrate
 from helpers import projective_points, random_unitary, unit_vector
 from oracles import fubini_sin_distance, green_function, green_phi
 from pensemble import (
-    EnergyReport,
     KernelParams,
+    PointSetFile,
     SamplerConfig,
     green_energy,
     lift_to_sphere,
@@ -20,7 +21,9 @@ from pensemble import (
     realify,
     riesz_energy,
     sample_projective_ensemble,
+    write_pointset,
 )
+from pensemble.cli import main as cli_main
 from pensemble.energy import green_constant, projective_pair_sums
 
 
@@ -293,10 +296,22 @@ def test_lifted_energy_decomposition_and_cross_term():
 
 # --------------------------------------------------------------------- report
 
-def test_energy_report_dict_handles_infinity():
-    rep = EnergyReport(kind="riesz", s=2.0, value=math.inf, n_points=3)
-    doc = rep.to_dict()
+def _energy_report(tmp_path, capsys, points, *kind):
+    """The JSON document ``pensemble energy`` writes for a CP file of ``points``."""
+    path = tmp_path / "cp.json"
+    ps = PointSetFile(space="CP", d=points.shape[1] - 1, seed=1, points=points, L=1)
+    write_pointset(path, ps)
+    assert cli_main(["energy", "--kind", *kind, "--in", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_energy_report_dict_handles_infinity(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    duplicated = np.stack([rows[0], rows[1], rows[0]])
+    doc = _energy_report(tmp_path, capsys, duplicated, "riesz", "--s", "2")
     assert doc["infinite"] is True and doc["value"] is None
-    rep = EnergyReport(kind="green", s=0.0, value=-0.25, n_points=4)
-    doc = rep.to_dict()
-    assert doc["infinite"] is False and doc["value"] == -0.25
+    assert doc["kind"] == "riesz" and doc["s"] == 2.0 and doc["n_points"] == 3
+    doc = _energy_report(tmp_path, capsys, rows, "green")
+    assert doc["infinite"] is False and doc["value"] == green_energy(rows, 2)
+    assert doc["kind"] == "green" and doc["s"] == 0.0 and doc["n_points"] == 4

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from pensemble import (
     bound_constants,
     default_energy_specs,
     derive_trial_rng,
-    emit_figure1_data,
     expected_projective_riesz,
     green_energy,
     lift_to_sphere,
@@ -20,6 +20,7 @@ from pensemble import (
     riesz_energy,
     run_experiment,
 )
+from pensemble.cli import main as cli_main
 from pensemble.montecarlo import _aggregate_column, _build_report, _trial_values
 from pensemble.pointset import dumps
 from pensemble.sampler import _sample_points
@@ -41,18 +42,51 @@ def _config(**overrides):
 # -------------------------------------------------------------- configuration
 
 def test_config_validation():
+    # The per-energy rules are in test_config_rejects_bad_plan_at_construction.
     with pytest.raises(ValueError):
         _config(trials=1)
     with pytest.raises(ValueError):
         _config(energies=())
     with pytest.raises(ValueError):
-        _config(energies=(EnergySpec("projective_riesz", 5.0),))  # s >= 2d
-    with pytest.raises(ValueError):
-        _config(energies=(EnergySpec("sphere_riesz", 2.0),), k=0)
-    with pytest.raises(ValueError):
-        _config(d=1, energies=(EnergySpec("green"),))
-    with pytest.raises(ValueError):
         EnergySpec("unknown_kind")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(master_seed=-1),
+        dict(master_seed=2**64),
+        dict(master_seed=1.5),
+        dict(d=2.5),
+        dict(energies=(EnergySpec("projective_riesz", 5.0),)),  # s >= 2d at d = 2
+        dict(d=1, energies=(EnergySpec("green"),)),
+        dict(energies=(EnergySpec("sphere_riesz", 2.0),), k=0),
+        dict(energies=(EnergySpec("sphere_riesz", 1.0),), k=0),
+        dict(energies=(EnergySpec("sphere_riesz", -1.0),), k=2),
+        dict(L=0),
+        dict(k=-1),
+        dict(trials=2.5),
+    ],
+    ids=[
+        "seed-negative", "seed-2**64", "seed-float", "d-float", "s-at-2d",
+        "green-d1", "sphere2-no-lift", "sphere1-no-lift", "sphere-s-negative",
+        "L0", "k-negative", "trials-float",
+    ],
+)
+def test_config_rejects_bad_plan_at_construction(overrides):
+    # Every rule is checked before a single trial can run.
+    with pytest.raises(ValueError):
+        _config(**overrides)
+
+
+def test_config_keeps_closed_forms_for_the_report():
+    energies = default_energy_specs(2, 2) + (EnergySpec("sphere_riesz", 1.0),)
+    config = _config(energies=energies, k=2)
+    assert config.exact_values[0] == expected_projective_riesz(2, 1, 2.0).exact
+    assert config.exact_values[-1] is None
+    values = np.arange(2.0 * len(config.energies)).reshape(2, -1)
+    report = _build_report(config, values, 0.0)
+    assert [res.closed_form_exact for res in report.results] == list(config.exact_values)
 
 
 def test_default_energy_specs():
@@ -212,8 +246,18 @@ def test_sphere_riesz_without_closed_form():
 
 # --------------------------------------------------------------- figure1 data
 
-def test_figure1_rows():
-    rows = emit_figure1_data(5)
+def _figure1_rows(tmp_path, d_max):
+    """Rows (d, projective_bound, harmonic_bound) of ``pensemble figure1``."""
+    out = tmp_path / "figure1.csv"
+    assert cli_main(["figure1", "--d-max", str(d_max), "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == ["d", "projective_bound", "harmonic_bound"]
+        return [(int(d), float(pb), float(hb)) for d, pb, hb in reader]
+
+
+def test_figure1_rows(tmp_path):
+    rows = _figure1_rows(tmp_path, 5)
     assert len(rows) == 5
     d1 = rows[0]
     assert d1[0] == 1
@@ -225,8 +269,8 @@ def test_figure1_rows():
         assert pb == bc.projective_bound and hb == bc.harmonic_bound
 
 
-def test_figure1_columns_approach_limits():
-    rows = emit_figure1_data(120)
+def test_figure1_columns_approach_limits(tmp_path):
+    rows = _figure1_rows(tmp_path, 120)
     pb_gap = [abs(row[1] - 3.0 / (4.0 * math.e)) for row in rows]
     hb_gap = [abs(row[2] - 2.0 / math.e**2) for row in rows]
     for gaps in (pb_gap, hb_gap):
@@ -234,6 +278,8 @@ def test_figure1_columns_approach_limits():
         assert sampled == sorted(sampled, reverse=True)
 
 
-def test_figure1_domain():
-    with pytest.raises(ValueError):
-        emit_figure1_data(0)
+def test_figure1_domain(tmp_path, capsys):
+    out = tmp_path / "figure1.csv"
+    assert cli_main(["figure1", "--d-max", "0", "--out", str(out)]) == 2
+    assert "d_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from oracles import feature_vector, projective_to_chart
 from pensemble import (
@@ -10,9 +10,13 @@ from pensemble import (
     RejectionBudgetExceededError,
     SamplerConfig,
     derive_trial_rng,
+    expected_projective_log,
+    expected_projective_riesz,
     sample_projective_ensemble,
 )
-from pensemble.sampler import _sample_points, _uniform_unit_vector
+from pensemble.energy import projective_pair_sums
+from pensemble.geometry import COINCIDENT_OVERLAP
+from pensemble.sampler import _assert_no_coincidence, _sample_points, _uniform_unit_vector
 
 KS_ALPHA = 1e-3
 
@@ -77,6 +81,56 @@ def test_sample_points_projectively_distinct():
     gram = np.abs(s.matrix @ s.matrix.conj().T)
     np.fill_diagonal(gram, 0.0)
     assert gram.max() < 1.0 - 1e-12
+
+
+def _pair_u_cdf(d, L):
+    # u = 1 - |<p_a, p_b>|^2 of one fixed pair. The sampler's output is
+    # exchangeable (joint density det/r!), so every fixed pair follows the
+    # two-point law: density proportional to (1 - (1-u)^L) u^(d-1) on [0, 1].
+    b = special.beta(d, L + 1)
+    return lambda u: (u**d / d - b * special.betainc(d, L + 1, u)) / (1.0 / d - b)
+
+
+@pytest.mark.parametrize("d,L", [(1, 1), (2, 1), (1, 4)])
+def test_pair_overlap_follows_two_point_law_ks(d, L):
+    samples = 2000
+    first, last = np.empty(samples), np.empty(samples)
+    for trial in range(samples):
+        points, _ = _sample_points(KernelParams(d, L), derive_trial_rng(20261019, trial))
+        first[trial] = 1.0 - abs(np.vdot(points[0], points[1])) ** 2
+        last[trial] = 1.0 - abs(np.vdot(points[-2], points[-1])) ** 2
+    for u in (first, last):
+        assert stats.kstest(u, _pair_u_cdf(d, L)).pvalue > KS_ALPHA
+        # The same data reject the law of independent uniform points, u^d,
+        # so the test can fail.
+        assert stats.kstest(u, lambda x: x**d).pvalue < 1e-6
+
+
+@pytest.mark.parametrize("d,L,seed", [(10, 2, 11), (1, 400, 12)])
+def test_extreme_samples_are_distinct_with_finite_energies(d, L, seed):
+    # r = 66 at (10, 2) and r = 401 at (1, 400).
+    params = KernelParams(d, L)
+    points = sample_projective_ensemble(SamplerConfig(params=params, seed=seed)).points
+    assert points.shape == (params.r, d + 1)
+    assert np.allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-12)
+    gram = np.abs(points @ points.conj().T)
+    np.fill_diagonal(gram, 0.0)
+    assert gram.max() < COINCIDENT_OVERLAP
+    riesz, log = projective_pair_sums(points, (1.0,))
+    assert math.isfinite(riesz[1.0]) and math.isfinite(log)
+    assert math.isfinite(expected_projective_riesz(d, L, 1.0).exact)
+    assert math.isfinite(expected_projective_log(d, L).exact)
+
+
+def test_sampler_and_energies_share_the_coincidence_rule():
+    p = np.array([1.0, 0.0])
+    same = np.array([1.0, 1e-9]) / math.hypot(1.0, 1e-9)  # overlap rounds to 1
+    near = np.array([1.0 - 1e-13, math.sqrt(2e-13)])  # overlap 1 - 1e-13
+    with pytest.raises(RuntimeError, match="projectively equal"):
+        _assert_no_coincidence(np.stack([p, same]))
+    assert math.isinf(projective_pair_sums(np.stack([p, same]), (1.0,))[1])
+    _assert_no_coincidence(np.stack([p, near]))
+    assert math.isfinite(projective_pair_sums(np.stack([p, near]), (1.0,))[1])
 
 
 def test_sampler_determinism():
