@@ -54,16 +54,18 @@ def _resolve_seed(value: Optional[int]) -> int:
     return _check_seed(value)
 
 
-def _read_projective(path: str, command: str) -> PointSetFile:
-    """Read a point-set file that must hold projective ("CP") representatives.
+def _read_space(path: str, space: str, command: str) -> PointSetFile:
+    """Read a point-set file whose rows must live in ``space``.
 
     The rows of an "S" file come in fibers of projectively equal points, so
     a projective energy of them is always infinite and a lift of them is no
-    lift of a projective sample.
+    lift of a projective sample. The rows of a "CP" file carry an arbitrary
+    phase each, which a Euclidean energy of them would depend on.
     """
     ps = read_pointset(path)
-    if ps.space != SPACE_PROJECTIVE:
-        raise ValueError(f"{command} expects a projective ('CP') point-set file")
+    if ps.space != space:
+        name = "projective" if space == SPACE_PROJECTIVE else "sphere"
+        raise ValueError(f"{command} expects a {name} ({space!r}) point-set file")
     return ps
 
 
@@ -88,7 +90,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    ps = _read_projective(args.infile, "lift")
+    ps = _read_space(args.infile, SPACE_PROJECTIVE, "lift")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     config = lift_to_sphere(ps.points, args.k, rng)
     out = PointSetFile(
@@ -109,15 +111,13 @@ _ENERGY_KINDS = {
 
 def cmd_energy(args: argparse.Namespace) -> int:
     kind = _ENERGY_KINDS[args.kind]
-    if kind in ("riesz", "log"):
-        ps = read_pointset(args.infile)
-    else:
-        ps = _read_projective(args.infile, f"energy --kind {args.kind}")
     s = 0.0
     if kind in ("riesz", "projective_riesz"):
         if args.s is None:
             raise ValueError(f"--s is required for kind {args.kind!r}")
         s = args.s
+    space = SPACE_SPHERE if kind in ("riesz", "log") else SPACE_PROJECTIVE
+    ps = _read_space(args.infile, space, f"energy --kind {args.kind}")
     if kind == "riesz":
         value = riesz_energy(realify(ps.points), s)
     elif kind == "log":

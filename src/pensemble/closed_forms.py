@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from scipy import integrate, special
+from scipy import special
 
 from .energy import _check_projective_s, _fiber_2energy, _green_combination
 from .lift import _check_k
@@ -305,6 +305,11 @@ def quadrature_expected_projective_riesz(d: int, L: int, s: float) -> float:
     u -> 0 cancellation costs no precision; the adaptive scheme splits the
     endpoint region on its own when s/2 approaches d.
     """
+    # Imported here: only this oracle needs QUADPACK, and scipy.integrate
+    # adds about 14 MB of memory and its import time to every process that
+    # imports the package.
+    from scipy import integrate
+
     r = _checked_r(d, L)
     _check_projective_s(s, d)
     c = d - s / 2.0 - 1.0

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .geometry import COINCIDENT_OVERLAP, unit_rows
+from .lift import _lifted_rows
 
 __all__ = [
     "COINCIDENCE_FLOOR",
@@ -41,32 +42,41 @@ COINCIDENCE_FLOOR = 1e-15
 _BLOCK_ROWS = 1024
 
 
-def _blocked_pair_sum(
+def _blocked_pair_sums(
+    count: int,
     n: int,
     distance_block: Callable[[int, int], np.ndarray],
     summands: list[Callable[[np.ndarray], np.ndarray]],
-) -> list[float]:
-    """Sum each summand(distance) over ordered pairs i != j, blocked by rows.
+) -> np.ndarray:
+    """Sum each summand(distance) over ordered pairs i != j of each of
+    ``count`` configurations of n points; returns a (count, len(summands)) array.
 
-    Every block of distances is formed and checked for coincidence once, then
-    shared by all summands; one coincident pair makes every sum +inf. Block
-    partial sums are combined with exact compensated summation, so the result
-    does not depend on the block schedule and stays accurate for the n^2
-    mixed-magnitude terms that show up past ~1e4 points.
+    ``distance_block(a, b)`` gives the (count, b - a, n) distances from rows
+    a..b-1 of every configuration to all its rows; past _BLOCK_ROWS points
+    the rows come in blocks. Every block of distances is formed and checked
+    for coincidence once, then shared by all summands; one coincident pair
+    makes every sum of its own configuration +inf. Block partial sums are
+    combined with exact compensated summation, so the result does not depend
+    on the block schedule and stays accurate for the n^2 mixed-magnitude
+    terms that show up past ~1e4 points.
     """
-    partials: list[list[float]] = [[] for _ in summands]
+    partials: list[list[np.ndarray]] = [[] for _ in summands]
+    coincident = np.zeros(count, dtype=bool)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         dists = distance_block(start, stop)
         rows = np.arange(stop - start)
-        dists[rows, start + rows] = 1.0  # neutral placeholder on the diagonal
-        if np.any(dists < COINCIDENCE_FLOOR):
-            return [math.inf] * len(summands)
+        dists[:, rows, start + rows] = 1.0  # neutral placeholder on the diagonal
+        hit = (dists < COINCIDENCE_FLOOR).any(axis=(1, 2))
+        dists[hit] = 1.0  # neutral too: those sums are set to +inf below
+        coincident |= hit
         for summand, acc in zip(summands, partials):
             vals = summand(dists)
-            vals[rows, start + rows] = 0.0
-            acc.append(float(np.sum(vals)))
-    return [math.fsum(acc) for acc in partials]
+            vals[:, rows, start + rows] = 0.0
+            acc.append(vals.reshape(count, -1).sum(axis=1))
+    sums = np.array([[math.fsum(terms) for terms in zip(*acc)] for acc in partials]).T
+    sums[coincident] = math.inf
+    return sums
 
 
 def _as_point_matrix(points) -> np.ndarray:
@@ -90,21 +100,17 @@ def riesz_energy(points, s: float) -> float:
     """Sum of 1/|x_i - x_j|^s over ordered pairs of Euclidean points."""
     _check_riesz_s(s)
     pts = _as_point_matrix(points)
-    return _blocked_pair_sum(
-        pts.shape[0],
-        lambda a, b: cdist(pts[a:b], pts),
-        [lambda dm: dm ** (-s)],
-    )[0]
+    return float(_blocked_pair_sums(
+        1, pts.shape[0], lambda a, b: cdist(pts[a:b], pts)[None], [lambda dm: dm ** (-s)]
+    )[0, 0])
 
 
 def log_energy(points) -> float:
     """Sum of log(1/|x_i - x_j|) over ordered pairs of Euclidean points."""
     pts = _as_point_matrix(points)
-    return _blocked_pair_sum(
-        pts.shape[0],
-        lambda a, b: cdist(pts[a:b], pts),
-        [lambda dm: -np.log(dm)],
-    )[0]
+    return float(_blocked_pair_sums(
+        1, pts.shape[0], lambda a, b: cdist(pts[a:b], pts)[None], [lambda dm: -np.log(dm)]
+    )[0, 0])
 
 
 def _fiber_2energy(k: int) -> float:
@@ -121,7 +127,7 @@ def _fiber_2energy(k: int) -> float:
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each row of a C-contiguous complex array."""
     real = rows.view(np.float64)
-    return np.einsum("pc,pc->p", real, real)
+    return np.einsum("...c,...c->...", real, real)
 
 
 def sphere_2energy(config) -> float:
@@ -149,41 +155,50 @@ def sphere_2energy(config) -> float:
     at small distance delta costs a relative error of order 1e-16/delta, as
     in the pairwise sum, not 1e-16/delta^2.
     """
-    k = config.k
-    r = config.representatives.shape[0]
-    # The same arithmetic builds ``config.points``, so the lifted points used
-    # here match those the pairwise sum sees bit for bit.
-    fibers0 = config.lifted_points(np.arange(r), 0)
+    reps, phases = config.representatives[None], config.phases[None]
+    return float(_sphere_2energies(reps, phases, config.k)[0])
+
+
+def _sphere_2energies(reps: np.ndarray, phases: np.ndarray, k: int) -> np.ndarray:
+    """:func:`sphere_2energy` of each lift in a stack: (T, r, d+1) unit
+    representatives and (T, r) phases, all with fibers of k points; a lift
+    with a coincident pair gets +inf, the others their finite energy."""
+    r = phases.shape[-1]
     i, j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # fiber pairs i < j
-    first, second = fibers0[i], fibers0[j]
-    phi = np.angle(np.einsum("pc,pc->p", first.conj(), second))
+    # The same arithmetic builds ``SphereConfiguration.points``, so the lifted
+    # points used here match those the pairwise sum sees bit for bit.
+    fibers0 = _lifted_rows(reps, phases, k, np.arange(r), 0)
+    first, second = fibers0[:, i], fibers0[:, j]
+    phi = np.angle(np.einsum("...c,...c->...", first.conj(), second))
     # The nearest lifted pair of fibers i and j is y_(i,0), y_(j,m) with
     # phi + 2 pi m/k closest to 0; compare those points as the pairwise
     # energy does.
     m = np.rint(phi * (-k / (2.0 * math.pi))).astype(np.int64) % k
-    gap = first - config.lifted_points(j, m)
-    if (np.sqrt(_squared_norms(gap)) < COINCIDENCE_FLOOR).any():
-        return math.inf
-    aligned = second - np.exp(1j * phi)[:, None] * first
+    gap = first - _lifted_rows(reps, phases, k, j, m)
+    coincident = (np.sqrt(_squared_norms(gap)) < COINCIDENCE_FLOOR).any(axis=-1)
+    aligned = second - np.exp(1j * phi)[..., None] * first
     one_minus_rho = np.minimum(0.5 * _squared_norms(aligned), 1.0)
     root = np.sqrt(one_minus_rho * (2.0 - one_minus_rho))  # sqrt(1 - rho^2)
     one_minus_q = (one_minus_rho + root) / (1.0 + root)
-    with np.errstate(divide="ignore"):  # log q = -inf on an orthogonal pair
+    # log q = -inf on an orthogonal pair; a coincident lift may divide by
+    # zero, and its energy is set to +inf below.
+    with np.errstate(divide="ignore"):
         k_log_q = k * np.log1p(-one_minus_q)
-    q_k = np.exp(k_log_q)
-    one_minus_q_k = -np.expm1(k_log_q)
-    # (1 - q^(2k)) / sqrt(1 - rho^2), which tends to 2k as rho -> 1.
-    numerator = np.divide(
-        one_minus_q_k * (1.0 + q_k), root, out=np.full_like(root, 2.0 * k), where=root > 0.0
-    )
-    denominator = one_minus_q_k**2 + 4.0 * q_k * np.sin(0.5 * k * phi) ** 2
-    # Each unordered fiber pair stands for its two ordered pairs.
-    cross = float((numerator / denominator).sum())
-    return k * k * cross + r * _fiber_2energy(k)
+        q_k = np.exp(k_log_q)
+        one_minus_q_k = -np.expm1(k_log_q)
+        # (1 - q^(2k)) / sqrt(1 - rho^2), which tends to 2k as rho -> 1.
+        numerator = np.divide(
+            one_minus_q_k * (1.0 + q_k), root,
+            out=np.full_like(root, 2.0 * k), where=root > 0.0,
+        )
+        denominator = one_minus_q_k**2 + 4.0 * q_k * np.sin(0.5 * k * phi) ** 2
+        # Each unordered fiber pair stands for its two ordered pairs.
+        cross = (numerator / denominator).sum(axis=-1)
+    return np.where(coincident, math.inf, k * k * cross + r * _fiber_2energy(k))
 
 
-def _sin_distance_block(mat: np.ndarray, a: int, b: int) -> np.ndarray:
-    overlap = np.clip(np.abs(mat[a:b] @ mat.conj().T), 0.0, 1.0)
+def _sin_distance_block(mats: np.ndarray, a: int, b: int) -> np.ndarray:
+    overlap = np.clip(np.abs(mats[:, a:b] @ np.swapaxes(mats.conj(), 1, 2)), 0.0, 1.0)
     sin = np.sqrt((1.0 - overlap) * (1.0 + overlap))
     # Coincident rows collapse to distance 0, so the distance floor flags them.
     sin[overlap >= COINCIDENT_OVERLAP] = 0.0
@@ -204,16 +219,24 @@ def projective_pair_sums(points, s_values) -> tuple[dict[float, float], float]:
     Returns ({s: sum}, log_sum). Each s must lie in (0, 2d); a coincident
     pair makes every sum +inf.
     """
-    mat = unit_rows(points)
-    d = mat.shape[1] - 1
+    riesz, log = _unit_pair_sums(unit_rows(points)[None], s_values)
+    return {s: float(sums[0]) for s, sums in riesz.items()}, float(log[0])
+
+
+def _unit_pair_sums(mats: np.ndarray, s_values) -> tuple[dict[float, np.ndarray], np.ndarray]:
+    """:func:`projective_pair_sums` of each configuration in a (T, n, d+1)
+    stack of unit rows, as (T,) arrays; a coincident pair makes only its own
+    configuration's sums +inf."""
+    d = mats.shape[-1] - 1
     s_values = list(dict.fromkeys(float(s) for s in s_values))
     for s in s_values:
         _check_projective_s(s, d)
     summands = [lambda dm, s=s: dm ** (-s) for s in s_values]
     summands.append(lambda dm: -np.log(dm))
-    *riesz, log = _blocked_pair_sum(
-        mat.shape[0], lambda a, b: _sin_distance_block(mat, a, b), summands
+    sums = _blocked_pair_sums(
+        *mats.shape[:2], lambda a, b: _sin_distance_block(mats, a, b), summands
     )
+    *riesz, log = sums.T
     return dict(zip(s_values, riesz)), log
 
 

@@ -28,6 +28,13 @@ def _check_k(k: int) -> None:
         raise ValueError("k must be a positive integer")
 
 
+def _lifted_rows(representatives, phases, k: int, fibers, steps) -> np.ndarray:
+    """The lifted points y_(i,m) of fibers i at phase steps m, from (..., r, d+1)
+    representatives and (..., r) phases, so one call serves a stack of lifts."""
+    angles = phases[..., fibers] + 2.0 * math.pi * np.asarray(steps) / k
+    return np.exp(1j * angles)[..., None] * representatives[..., fibers, :]
+
+
 @dataclass(frozen=True, eq=False)
 class SphereConfiguration:
     """The lift of r projective points: a fiber of k unit vectors per point.
@@ -56,8 +63,7 @@ class SphereConfiguration:
     def lifted_points(self, fibers, steps) -> np.ndarray:
         """y_(i,m) = exp(1j (theta_i + 2 pi m/k)) x_i for fiber indices i and
         phase steps m, broadcast against each other; one (d+1) row per (i, m)."""
-        angles = self.phases[fibers] + 2.0 * math.pi * np.asarray(steps) / self.k
-        return np.exp(1j * angles)[..., None] * self.representatives[fibers]
+        return _lifted_rows(self.representatives, self.phases, self.k, fibers, steps)
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Seeded Monte Carlo harness comparing sampled energies to closed forms.
 
-Each trial owns an rng derived from (master_seed, trial_index), so results
-are independent of execution order and of the number of worker processes;
-aggregation is a deterministic fold in trial order. Trials whose energies hit
-a coincident pair are discarded and counted.
+Each trial owns an rng derived from (master_seed, trial_index) and draws its
+sample and lift from it alone. Trials run in blocks of consecutive indices,
+cut by trial index at a size set by the plan alone (up to 128 trials, fewer
+as r grows): a block stacks its trials' samples and evaluates their pair
+energies in one batched pass, and the process pool maps whole blocks. So
+results are independent of execution order and of the number of worker
+processes; aggregation is a deterministic fold in trial order. Trials whose
+energies hit a coincident pair are discarded and counted, one trial at a
+time.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from .energy import (
     _check_riesz_s,
     _green_combination,
     _green_s_values,
-    projective_pair_sums,
+    _sphere_2energies,
+    _unit_pair_sums,
     riesz_energy,
-    sphere_2energy,
 )
+from .geometry import unit_rows
 from .lift import lift_to_sphere, realify
 from .sampler import KernelParams, _check_seed, _sample_points, derive_trial_rng
 
@@ -46,6 +52,12 @@ __all__ = [
 
 _KINDS = ("projective_riesz", "projective_log", "green", "sphere_riesz")
 _MOM_BLOCKS = 20
+# A block holds as many trials as fit in _BLOCK_PAIRS pair entries (r^2 per
+# trial), at least 1 and at most _MAX_BLOCK_TRIALS: the batched passes then
+# hold a few arrays of that size, and large-r plans still split into many
+# units of work for the pool.
+_BLOCK_PAIRS = 1 << 15
+_MAX_BLOCK_TRIALS = 128
 
 
 @dataclass(frozen=True)
@@ -166,30 +178,56 @@ def default_energy_specs(d: int, k: int) -> tuple[EnergySpec, ...]:
     return tuple(specs)
 
 
-def _trial_values(config: ExperimentConfig, trial_index: int) -> np.ndarray:
-    rng = derive_trial_rng(config.master_seed, trial_index)
-    points, _ = _sample_points(config.params, rng)
-    lifted = lift_to_sphere(points, config.k, rng) if config.k >= 1 else None
+def _trials_per_block(r: int) -> int:
+    """Trials per block for configurations of r points; r alone sets it, so
+    the blocks of a plan depend on trial indices alone."""
+    return min(max(_BLOCK_PAIRS // (r * r), 1), _MAX_BLOCK_TRIALS)
+
+
+def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    """Energy values of trials start..stop-1, one row per trial.
+
+    Each trial samples, then lifts, on its own derived stream; the pair
+    energies of the whole block then come from one batched pass over the
+    stacked samples, and one over the stacked lifts.
+    """
+    params, k = config.params, config.k
+    count = stop - start
+    points = np.empty((count, params.r, params.d + 1), dtype=np.complex128)
+    reps = np.empty_like(points)
+    phases = np.empty((count, params.r))
+    out = np.empty((count, len(config.energies)))
+    # Sphere Riesz away from s = 2 has no per-fiber closed form: pairwise sum.
+    pairwise = [
+        (col, spec.s) for col, spec in enumerate(config.energies)
+        if spec.kind == "sphere_riesz" and spec.s != 2.0
+    ]
+    for t in range(count):
+        rng = derive_trial_rng(config.master_seed, start + t)
+        points[t], _ = _sample_points(params, rng)
+        if k >= 1:
+            lifted = lift_to_sphere(points[t], k, rng)
+            reps[t], phases[t] = lifted.representatives, lifted.phases
+            for col, s in pairwise:
+                out[t, col] = riesz_energy(realify(lifted), s)
     kinds = {spec.kind for spec in config.energies}
     if kinds - {"sphere_riesz"}:
-        # One pass over the sin-distance matrix serves every projective kind.
+        # One pass over the sin-distance matrices serves every projective kind.
         s_values = [spec.s for spec in config.energies if spec.kind == "projective_riesz"]
         if "green" in kinds:
             s_values.extend(_green_s_values(config.d))
-        riesz, log = projective_pair_sums(points, s_values)
-    out = np.empty(len(config.energies))
-    for i, spec in enumerate(config.energies):
+        mats = unit_rows(points.reshape(-1, params.d + 1)).reshape(points.shape)
+        riesz, log = _unit_pair_sums(mats, s_values)
+    for col, spec in enumerate(config.energies):
         if spec.kind == "projective_riesz":
-            out[i] = riesz[spec.s]
+            out[:, col] = riesz[spec.s]
         elif spec.kind == "projective_log":
-            out[i] = log
+            out[:, col] = log
         elif spec.kind == "green":
-            pairs = config.params.r * (config.params.r - 1)
-            out[i] = _green_combination(config.d, log, riesz.__getitem__, pairs)
+            pairs = params.r * (params.r - 1)
+            out[:, col] = _green_combination(config.d, log, riesz.__getitem__, pairs)
         elif spec.s == 2.0:  # sphere_riesz
-            out[i] = sphere_2energy(lifted)
-        else:  # sphere_riesz away from s = 2 has no per-fiber closed form
-            out[i] = riesz_energy(realify(lifted), spec.s)
+            out[:, col] = _sphere_2energies(reps, phases, k)
     return out
 
 
@@ -283,17 +321,19 @@ def _build_report(
 
 
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
-    """Run all trials (optionally across processes) and aggregate by trial index."""
+    """Run all trials, block by block (optionally across processes), and
+    aggregate by trial index."""
     start = time.perf_counter()
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or config.trials < 4:
-        rows = [_trial_values(config, i) for i in range(config.trials)]
+    trials, size = config.trials, _trials_per_block(config.params.r)
+    blocks = [(a, min(a + size, trials)) for a in range(0, trials, size)]
+    workers = min(workers, len(blocks))
+    # One block is one unit of work: with nothing to split, it runs in-process.
+    if workers <= 1:
+        parts = [_block_values(config, a, b) for a, b in blocks]
     else:
-        chunk = max(1, config.trials // (workers * 8))
         with multiprocessing.get_context().Pool(processes=workers) as pool:
-            rows = pool.map(
-                partial(_trial_values, config), range(config.trials), chunksize=chunk
-            )
-    values = np.vstack(rows)
+            parts = pool.starmap(partial(_block_values, config), blocks, chunksize=1)
+    values = np.vstack(parts)
     return _build_report(config, values, time.perf_counter() - start)

@@ -122,12 +122,14 @@ class ProjectiveSample:
 
 def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vector in C^(d+1) from 2(d+1) standard normals, (re, im) interleaved."""
+    normal = rng.standard_normal
     while True:
-        x = rng.standard_normal(2 * (d + 1))
-        v = x[0::2] + 1j * x[1::2]
-        norm = np.linalg.norm(v)
+        x = normal(2 * (d + 1))
+        # re.re + im.im, the squared norm exactly as np.linalg.norm forms it.
+        re, im = x[0::2], x[1::2]
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm > 1e-150:
-            return v / norm
+            return x.view(np.complex128) / norm
 
 
 def _sample_points(
@@ -135,28 +137,33 @@ def _sample_points(
 ) -> tuple[np.ndarray, list[int]]:
     """Core sequential sampler; returns (r, d+1) representatives and proposal counts."""
     d, L, r = params.d, params.L, params.r
+    budget = MAX_REJECTIONS_PER_POINT
+    random = rng.random
     points = np.empty((r, d + 1), dtype=np.complex128)
     inv_chol = np.zeros((r, r), dtype=np.complex128)  # W, lower triangular
-    proposals: list[int] = []
-    for i in range(r):
-        w = inv_chol[:i, :i]
-        tries = 0
-        while True:
-            tries += 1
-            if tries > MAX_REJECTIONS_PER_POINT:
-                raise RejectionBudgetExceededError(
-                    f"point {i}: no acceptance within {MAX_REJECTIONS_PER_POINT} proposals"
-                )
+    # Step 0 has residual 1, so its first proposal is accepted; its acceptance
+    # draw is still consumed, which keeps the stream of every later step.
+    points[0] = _uniform_unit_vector(d, rng)
+    random()
+    inv_chol[0, 0] = 1.0
+    proposals = [1]
+    for i in range(1, r):
+        w, selected = inv_chol[:i, :i], points[:i]
+        for tries in range(1, budget + 1):
             cand = _uniform_unit_vector(d, rng)
-            y = w @ (points[:i] @ cand.conj()) ** L
+            y = w @ (selected @ cand.conj()) ** L
             residual = 1.0 - np.vdot(y, y).real
-            if rng.random() < residual:
-                delta = math.sqrt(residual)
-                inv_chol[i, :i] = -(y.conj() @ w) / delta
-                inv_chol[i, i] = 1.0 / delta
-                points[i] = cand
-                proposals.append(tries)
+            if random() < residual:
                 break
+        else:
+            raise RejectionBudgetExceededError(
+                f"point {i}: no acceptance within {budget} proposals"
+            )
+        delta = math.sqrt(residual)
+        inv_chol[i, :i] = -(y.conj() @ w) / delta
+        inv_chol[i, i] = 1.0 / delta
+        points[i] = cand
+        proposals.append(tries)
     return points, proposals
 
 

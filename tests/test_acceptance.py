@@ -299,13 +299,14 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert _run_cli("figure1", "--d-max", "12", "--out", str(out_b)).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
-    base = ("validate", "--d", "1", "--L", "2", "--k", "2", "--trials", "48",
+    # 257 trials at r = 3 make three blocks of trials, so 8 workers split them.
+    base = ("validate", "--d", "1", "--L", "2", "--k", "2", "--trials", "257",
             "--seed", "21", "--z-max", "50")
     one = _run_cli(*base, "--threads", "1")
     eight = _run_cli(*base, "--threads", "8")
     assert one.returncode == eight.returncode == 0
     assert one.stdout == eight.stdout
     doc = json.loads(one.stdout)
-    assert doc["trials"] == 48
+    assert doc["trials"] == 257
     announce(9, "CLI determinism and worker-count invariance", True,
              f"{len(commands)} commands byte-stable; 1 vs 8 workers identical")

@@ -208,6 +208,18 @@ def test_projective_energies_reject_sphere_file(tmp_path, kind):
     assert res.stderr == message.encode()
 
 
+@pytest.mark.parametrize("kind", [("riesz", "--s", "2"), ("log",)], ids=lambda k: k[0])
+def test_euclidean_energies_reject_projective_file(tmp_path, kind):
+    # Each row of a CP file carries an arbitrary phase, and a Euclidean
+    # energy of the rows would depend on it.
+    cp = tmp_path / "cp.json"
+    run_cli("sample", "--d", "2", "--L", "1", "--seed", "4", "--out", str(cp))
+    res = run_cli("energy", "--kind", *kind, "--in", str(cp))
+    assert res.returncode == 2 and res.stdout == b""
+    message = f"error: energy --kind {kind[0]} expects a sphere ('S') point-set file\n"
+    assert res.stderr == message.encode()
+
+
 @pytest.mark.parametrize(
     "space, points, message",
     [

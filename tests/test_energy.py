@@ -13,6 +13,7 @@ from pensemble import (
     KernelParams,
     PointSetFile,
     SamplerConfig,
+    SphereConfiguration,
     green_energy,
     lift_to_sphere,
     log_energy,
@@ -24,7 +25,8 @@ from pensemble import (
     write_pointset,
 )
 from pensemble.cli import main as cli_main
-from pensemble.energy import green_constant, projective_pair_sums
+from pensemble.energy import _unit_pair_sums, green_constant, projective_pair_sums
+from pensemble.geometry import unit_rows
 
 
 def _roots_of_unity(k):
@@ -238,6 +240,21 @@ def test_projective_pair_sums_coincident_pair_makes_every_sum_infinite():
     assert math.isinf(log) and log > 0
 
 
+def test_stacked_pair_sums_match_each_configuration():
+    # One batched pass over a (T, n, d+1) stack, normalised row by row as
+    # the Monte Carlo blocks do, gives each configuration's own sums bit for
+    # bit; a coincident pair flags only its own entry.
+    rng = np.random.default_rng(18)
+    stack = rng.standard_normal((3, 5, 3)) + 1j * rng.standard_normal((3, 5, 3))
+    stack[1, 4] = np.exp(0.3j) * stack[1, 0]
+    riesz, log = _unit_pair_sums(unit_rows(stack.reshape(15, 3)).reshape(3, 5, 3), [1.0, 2.0])
+    for t, mat in enumerate(stack):
+        one_riesz, one_log = projective_pair_sums(mat, [1.0, 2.0])
+        assert [riesz[s][t] for s in (1.0, 2.0)] == [one_riesz[1.0], one_riesz[2.0]]
+        assert log[t] == one_log
+    assert np.isinf(log).tolist() == [False, True, False]
+
+
 def test_projective_pair_sums_reject_s_outside_range():
     p, q = _orthogonal_pair(d=3)
     for s in (0.0, -1.0, 6.0, 7.5):
@@ -296,10 +313,11 @@ def test_lifted_energy_decomposition_and_cross_term():
 
 # --------------------------------------------------------------------- report
 
-def _energy_report(tmp_path, capsys, points, *kind):
-    """The JSON document ``pensemble energy`` writes for a CP file of ``points``."""
-    path = tmp_path / "cp.json"
-    ps = PointSetFile(space="CP", d=points.shape[1] - 1, seed=1, points=points, L=1)
+def _energy_report(tmp_path, capsys, points, *kind, space="CP"):
+    """The JSON document ``pensemble energy`` writes for a ``space`` file of ``points``."""
+    path = tmp_path / "points.json"
+    fiber = {"L": 1} if space == "CP" else {"k": 1}
+    ps = PointSetFile(space=space, d=points.shape[1] - 1, seed=1, points=points, **fiber)
     write_pointset(path, ps)
     assert cli_main(["energy", "--kind", *kind, "--in", str(path)]) == 0
     return json.loads(capsys.readouterr().out)
@@ -308,8 +326,9 @@ def _energy_report(tmp_path, capsys, points, *kind):
 def test_energy_report_dict_handles_infinity(tmp_path, capsys):
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    duplicated = np.stack([rows[0], rows[1], rows[0]])
-    doc = _energy_report(tmp_path, capsys, duplicated, "riesz", "--s", "2")
+    # A k = 1 lift whose first and third fibers share their point and phase.
+    lifted = SphereConfiguration(rows[[0, 1, 0]], np.zeros(3), 1).points
+    doc = _energy_report(tmp_path, capsys, lifted, "riesz", "--s", "2", space="S")
     assert doc["infinite"] is True and doc["value"] is None
     assert doc["kind"] == "riesz" and doc["s"] == 2.0 and doc["n_points"] == 3
     doc = _energy_report(tmp_path, capsys, rows, "green")

@@ -15,6 +15,7 @@ from pensemble import (
     sample_projective_ensemble,
     sphere_2energy,
 )
+from pensemble.energy import _sphere_2energies
 
 
 def _sample(d, L, seed):
@@ -110,6 +111,21 @@ def test_sphere_2energy_duplicated_row_at_one_phase_is_infinite():
     )
     assert riesz_energy(realify(config), 2.0) == math.inf
     assert sphere_2energy(config) == math.inf
+
+
+def test_stacked_sphere_2energies_flag_only_the_coincident_lift():
+    # The batched closed form over a stack of lifts gives each lift's own
+    # energy; the middle lift repeats a fiber at its phase, so only it is +inf.
+    rng = np.random.default_rng(81)
+    reps = rng.normal(size=(3, 4, 3)) + 1j * rng.normal(size=(3, 4, 3))
+    reps /= np.linalg.norm(reps, axis=-1, keepdims=True)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(3, 4))
+    reps[1, 3], phases[1, 3] = reps[1, 0], phases[1, 0]
+    energies = _sphere_2energies(reps, phases, 4)
+    assert np.isinf(energies).tolist() == [False, True, False]
+    for t in (0, 2):
+        config = SphereConfiguration(representatives=reps[t], phases=phases[t], k=4)
+        assert energies[t] == pytest.approx(sphere_2energy(config), rel=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])

@@ -21,7 +21,12 @@ from pensemble import (
     run_experiment,
 )
 from pensemble.cli import main as cli_main
-from pensemble.montecarlo import _aggregate_column, _build_report, _trial_values
+from pensemble.montecarlo import (
+    _aggregate_column,
+    _block_values,
+    _build_report,
+    _trials_per_block,
+)
 from pensemble.pointset import dumps
 from pensemble.sampler import _sample_points
 
@@ -100,15 +105,15 @@ def test_default_energy_specs():
 
 @pytest.mark.parametrize("d, L, k", [(2, 1, 0), (3, 2, 2), (2, 2, 128)])
 def test_trial_values_match_public_energies(d, L, k):
-    # The one-pass trial columns must equal the public per-kind energies on
+    # The batched block columns must equal the public per-kind energies on
     # the same draw (same derived stream: sample, then lift). A lift adds a
     # sphere Riesz spec at s = 1.5, which stays on the pairwise sum.
     energies = default_energy_specs(d, k)
     if k:
         energies += (EnergySpec("sphere_riesz", 1.5),)
     config = _config(d=d, L=L, k=k, energies=energies, master_seed=41)
-    for trial in range(3):
-        values = _trial_values(config, trial)
+    block = _block_values(config, 0, 3)
+    for trial, values in enumerate(block):
         rng = derive_trial_rng(config.master_seed, trial)
         points, _ = _sample_points(KernelParams(d, L), rng)
         lifted = realify(lift_to_sphere(points, k, rng)) if k else None
@@ -122,6 +127,30 @@ def test_trial_values_match_public_energies(d, L, k):
             else:
                 expected = riesz_energy(lifted, spec.s)
             assert value == pytest.approx(expected, rel=1e-12), spec.label()
+
+
+def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
+    # Trial 5 gets a duplicated row: its row of the block turns +inf, every
+    # other row keeps the values of the unpatched block bit for bit.
+    config = _config(energies=default_energy_specs(2, 0), trials=12)
+    clean = _block_values(config, 0, 12)
+    calls = []
+
+    def duplicating(params, rng):
+        points, proposals = _sample_points(params, rng)
+        if len(calls) == 5:
+            points[1] = points[0]
+        calls.append(None)
+        return points, proposals
+
+    monkeypatch.setattr("pensemble.montecarlo._sample_points", duplicating)
+    values = _block_values(config, 0, 12)
+    assert np.all(np.isinf(values[5]))
+    others = np.arange(12) != 5
+    assert np.array_equal(values[others], clean[others])
+    calls.clear()
+    report = run_experiment(config, workers=1)
+    assert report.trials_discarded == 1 and report.trials_retained == 11
 
 
 # ---------------------------------------------------------------- aggregation
@@ -197,10 +226,28 @@ def test_run_experiment_deterministic_repeat():
 
 
 def test_run_experiment_worker_count_invariance():
-    config = _config(trials=24, energies=default_energy_specs(2, 0))
+    # Three blocks, so every pool size below splits the trials.
+    config = _config(trials=2 * _trials_per_block(3) + 1, energies=default_energy_specs(2, 0))
     reports = [run_experiment(config, workers=w) for w in (1, 2, 4)]
     docs = [dumps(rep.to_dict()) for rep in reports]
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_partial_last_block_is_worker_count_invariant():
+    # Two blocks, the second holding one trial: the blocks are cut by trial
+    # index, so any pool size gives the same report.
+    config = _config(
+        d=1, k=2, trials=_trials_per_block(2) + 1,
+        energies=default_energy_specs(1, 2) + (EnergySpec("sphere_riesz", 1.5),),
+    )
+    docs = [run_experiment(config, workers=w).to_dict() for w in (1, 2, 3)]
+    assert docs[0] == docs[1] == docs[2]
+
+
+@pytest.mark.parametrize("r, size", [(3, 128), (21, 74), (120, 2), (231, 1)])
+def test_block_size_follows_r(r, size):
+    # Up to 2**15 pair entries per block, 1 to 128 trials.
+    assert _trials_per_block(r) == size
 
 
 def test_run_experiment_end_to_end_statistics():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -192,6 +193,28 @@ def test_kernel_chain_rule_matches_feature_space_reference(d, L):
         ref_points, ref_proposals = _reference_sample(params, derive_trial_rng(31, index))
         assert proposals == ref_proposals
         assert np.array_equal(points, ref_points)
+
+
+# SHA-256 (first 32 hex digits) of the points and proposal counts of
+# `count` samples drawn from derive_trial_rng(20261019, index). Any change to
+# the draws, their order or the arithmetic that turns them into points moves
+# these; a change to the rng stream must re-derive them and say so.
+_STREAM_DIGESTS = [
+    (1, 3, 12, "5fb040ab0d10b3a1d18d67a16ca5bf4a"),
+    (2, 1, 40, "9e64c8939e904d11300bdf2b699b0ede"),
+    (2, 5, 8, "1520aa42b005d8c99d7bd51e5258a9da"),
+    (5, 4, 3, "c9e7412e9f9fbaddf61e280d273236e9"),
+]
+
+
+@pytest.mark.parametrize("d, L, count, digest", _STREAM_DIGESTS)
+def test_seeded_samples_match_committed_digest(d, L, count, digest):
+    h = hashlib.sha256()
+    for index in range(count):
+        points, proposals = _sample_points(KernelParams(d, L), derive_trial_rng(20261019, index))
+        h.update(points.tobytes())
+        h.update(np.asarray(proposals, dtype=np.int64).tobytes())
+    assert h.hexdigest()[:32] == digest
 
 
 def test_rejection_budget_raises(monkeypatch):
