@@ -8,17 +8,14 @@ expected values, and a seeded Monte Carlo validation harness.
 from .closed_forms import (
     BoundConstants,
     ExpectedEnergy,
-    QuadratureError,
     beta,
     bound_constants,
     continuous_sphere_energy,
-    digamma,
     expected_green_energy,
     expected_projective_log,
     expected_projective_riesz,
     expected_sphere_2energy_exact,
     log_gamma,
-    quadrature_expected_projective_riesz,
 )
 from .energy import (
     green_energy,
@@ -36,7 +33,7 @@ from .montecarlo import (
     default_energy_specs,
     run_experiment,
 )
-from .pointset import PointSetFile, read_pointset, write_pointset
+from .pointset import PointSetFile, read_pointset
 from .sampler import (
     KernelParams,
     ProjectiveSample,

@@ -166,6 +166,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.z_max) and args.z_max >= 0):
+        raise ValueError(f"--z-max must be a finite number >= 0, got {args.z_max}")
     seed = _resolve_seed(args.seed)
     config = ExperimentConfig(
         d=args.d,
@@ -247,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes (default: the CPUs this process may use)",
+    )
     p.add_argument("--z-max", type=float, default=4.0, help="acceptance threshold on |z|")
     p.set_defaults(func=cmd_validate)
 

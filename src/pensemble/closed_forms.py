@@ -3,9 +3,8 @@
 Expected pair energies of the determinantal projective process have closed
 forms in Euler's Beta function; this module evaluates them (in log space, so
 large d and L stay inside double range) together with the matching
-asymptotic coefficients, the optimal-constant comparison values for the
-sphere 2-energy, and an independent adaptive-quadrature oracle for the
-projective Riesz expectation.
+asymptotic coefficients and the optimal-constant comparison values for the
+sphere 2-energy.
 """
 
 from __future__ import annotations
@@ -23,22 +22,15 @@ from .sampler import KernelParams, _check_d
 __all__ = [
     "ExpectedEnergy",
     "BoundConstants",
-    "QuadratureError",
     "log_gamma",
     "beta",
-    "digamma",
     "continuous_sphere_energy",
     "expected_projective_riesz",
     "expected_projective_log",
     "expected_sphere_2energy_exact",
     "expected_green_energy",
     "bound_constants",
-    "quadrature_expected_projective_riesz",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
 
 
 # --------------------------------------------------------------------------
@@ -54,13 +46,6 @@ def log_gamma(x: float) -> float:
 def beta(a: float, b: float) -> float:
     """Euler Beta B(a, b) = exp(lgamma(a) + lgamma(b) - lgamma(a+b)), a, b > 0."""
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-
-
-def digamma(x: float) -> float:
-    """Digamma psi_0(x) for x > 0."""
-    if not x > 0:
-        raise ValueError("digamma requires a positive argument")
-    return float(special.psi(x))
 
 
 # --------------------------------------------------------------------------
@@ -285,48 +270,3 @@ def bound_constants(d: int) -> BoundConstants:
         projective_bound=projective,
         harmonic_bound=harmonic,
     )
-
-
-# --------------------------------------------------------------------------
-# Quadrature oracle.
-
-_QUAD_TOL = 1e-10
-
-
-def quadrature_expected_projective_riesz(d: int, L: int, s: float) -> float:
-    """Expected projective Riesz s-energy by adaptive quadrature (oracle path).
-
-    Reduces the two-point integral to one radial integral and substitutes
-    u = t^2/(1+t^2), giving
-
-        r^2 d * int_0^1 (1 - (1-u)^L) u^(d - s/2 - 1) du
-
-    on (0, 1). The integrand is evaluated as -expm1(L log1p(-u)) * u^c so the
-    u -> 0 cancellation costs no precision; the adaptive scheme splits the
-    endpoint region on its own when s/2 approaches d.
-    """
-    # Imported here: only this oracle needs QUADPACK, and scipy.integrate
-    # adds about 14 MB of memory and its import time to every process that
-    # imports the package.
-    from scipy import integrate
-
-    r = _checked_r(d, L)
-    _check_projective_s(s, d)
-    c = d - s / 2.0 - 1.0
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        return -math.expm1(L * math.log1p(-u)) * u**c
-
-    result = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
-        full_output=True,
-    )
-    value, abserr = result[0], result[1]
-    achieved = abserr / max(abs(value), 1.0)
-    if len(result) > 3 or achieved > 1e-9:  # a 4th element is a QUADPACK warning
-        raise QuadratureError(
-            f"quadrature did not converge: achieved relative tolerance {achieved:.3e}"
-        )
-    return r * r * d * value

@@ -55,10 +55,12 @@ def _blocked_pair_sums(
     a..b-1 of every configuration to all its rows; past _BLOCK_ROWS points
     the rows come in blocks. Every block of distances is formed and checked
     for coincidence once, then shared by all summands; one coincident pair
-    makes every sum of its own configuration +inf. Block partial sums are
-    combined with exact compensated summation, so the result does not depend
-    on the block schedule and stays accurate for the n^2 mixed-magnitude
-    terms that show up past ~1e4 points.
+    makes every sum of its own configuration +inf. Each block's terms are
+    summed by numpy, rounded once per block; ``math.fsum`` then adds those
+    partial sums exactly and rounds once. So no rounding error accumulates
+    across blocks, which keeps the n^2 mixed-magnitude terms past ~1e4
+    points accurate, but a different block schedule may still change the
+    last bits.
     """
     partials: list[list[np.ndarray]] = [[] for _ in summands]
     coincident = np.zeros(count, dtype=bool)

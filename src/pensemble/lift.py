@@ -60,25 +60,18 @@ class SphereConfiguration:
         object.__setattr__(self, "representatives", reps)
         object.__setattr__(self, "phases", phases)
 
-    def lifted_points(self, fibers, steps) -> np.ndarray:
-        """y_(i,m) = exp(1j (theta_i + 2 pi m/k)) x_i for fiber indices i and
-        phase steps m, broadcast against each other; one (d+1) row per (i, m)."""
-        return _lifted_rows(self.representatives, self.phases, self.k, fibers, steps)
-
     @cached_property
     def points(self) -> np.ndarray:
         r = self.representatives.shape[0]
-        pts = self.lifted_points(np.arange(r)[:, None], np.arange(self.k)).reshape(self.n, -1)
+        pts = _lifted_rows(
+            self.representatives, self.phases, self.k, np.arange(r)[:, None], np.arange(self.k)
+        ).reshape(self.n, -1)
         pts.setflags(write=False)
         return pts
 
     @property
     def n(self) -> int:
         return self.k * self.representatives.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.representatives.shape[1] - 1
 
 
 def lift_to_sphere(

@@ -320,12 +320,23 @@ def _build_report(
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
     """Run all trials, block by block (optionally across processes), and
-    aggregate by trial index."""
+    aggregate by trial index. ``workers`` defaults to the number of CPUs
+    this process may use."""
     start = time.perf_counter()
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
+    elif not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     trials, size = config.trials, _trials_per_block(config.params.r)
     blocks = [(a, min(a + size, trials)) for a in range(0, trials, size)]
     workers = min(workers, len(blocks))

@@ -23,7 +23,6 @@ __all__ = [
     "dumps",
     "pointset_to_json",
     "pointset_from_json",
-    "write_pointset",
     "read_pointset",
 ]
 
@@ -138,11 +137,6 @@ def pointset_from_json(text: str) -> PointSetFile:
         L=_header_int(doc, "L"),
         k=_header_int(doc, "k"),
     )
-
-
-def write_pointset(path, ps: PointSetFile) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(pointset_to_json(ps))
 
 
 def read_pointset(path) -> PointSetFile:

@@ -17,13 +17,18 @@ and its pushforward to CP^d through the affine chart z -> (1, z) has
 magnitude (r d!/pi^d) |<p,q>|^L for unit representatives. The feature
 vectors v(z) of the basis are the oracle for the kernel identity
 <v(z), v(w)> = K(z, w).
+
+The expected projective Riesz energy also has an oracle independent of its
+Beta-function closed form: adaptive quadrature of the pair intensity.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate, special
 
-from pensemble.energy import _green_combination
+from pensemble.closed_forms import _checked_r
+from pensemble.energy import _check_projective_s, _green_combination
 
 
 def _compositions(total, slots):
@@ -142,3 +147,51 @@ def green_phi(d, sin_r):
 def green_function(d, p, q):
     """Zero-mean Green function of CP^d at the unit rows p and q."""
     return float(green_phi(d, fubini_sin_distance(p, q)))
+
+
+def digamma(x):
+    """Digamma psi_0(x) for x > 0."""
+    if not x > 0:
+        raise ValueError("digamma requires a positive argument")
+    return float(special.psi(x))
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature did not reach the requested tolerance."""
+
+
+_QUAD_TOL = 1e-10
+
+
+def quadrature_expected_projective_riesz(d, L, s):
+    """Expected projective Riesz s-energy by adaptive quadrature (oracle path).
+
+    Reduces the two-point integral to one radial integral and substitutes
+    u = t^2/(1+t^2), giving
+
+        r^2 d * int_0^1 (1 - (1-u)^L) u^(d - s/2 - 1) du
+
+    on (0, 1). The integrand is evaluated as -expm1(L log1p(-u)) * u^c so the
+    u -> 0 cancellation costs no precision; the adaptive scheme splits the
+    endpoint region on its own when s/2 approaches d.
+    """
+    r = _checked_r(d, L)
+    _check_projective_s(s, d)
+    c = d - s / 2.0 - 1.0
+
+    def integrand(u):
+        if u <= 0.0:
+            return 0.0
+        return -math.expm1(L * math.log1p(-u)) * u**c
+
+    result = integrate.quad(
+        integrand, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
+        full_output=True,
+    )
+    value, abserr = result[0], result[1]
+    achieved = abserr / max(abs(value), 1.0)
+    if len(result) > 3 or achieved > 1e-9:  # a 4th element is a QUADPACK warning
+        raise QuadratureError(
+            f"quadrature did not converge: achieved relative tolerance {achieved:.3e}"
+        )
+    return r * r * d * value

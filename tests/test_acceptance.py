@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from oracles import green_phi
+from oracles import green_phi, quadrature_expected_projective_riesz
 from pensemble import (
     EnergySpec,
     KernelParams,
@@ -29,7 +29,6 @@ from pensemble import (
     expected_projective_riesz,
     expected_sphere_2energy_exact,
     expected_green_energy,
-    quadrature_expected_projective_riesz,
     run_experiment,
 )
 from pensemble.sampler import _sample_points, derive_trial_rng

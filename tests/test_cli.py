@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from pensemble.cli import main as cli_main
 from pensemble.pointset import read_pointset
 
 
@@ -303,6 +304,25 @@ def test_validate_threads_do_not_change_output():
     two = run_cli(*base, "--threads", "2")
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
+
+
+@pytest.mark.parametrize("flag", [
+    ["--threads", "0"],
+    ["--threads", "-3"],
+    ["--z-max", "nan"],
+    ["--z-max", "inf"],
+    ["--z-max=-inf"],
+    ["--z-max", "-1"],
+])
+def test_validate_refuses_bad_threads_or_threshold_before_any_trial(monkeypatch, capsys, flag):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("pensemble.montecarlo._block_values", no_trial)
+    code = cli_main(["validate", "--d", "2", "--L", "1", "--trials", "40", "--seed", "3", *flag])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_figure1_csv(tmp_path):

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import green_phi
+from oracles import digamma, green_phi, quadrature_expected_projective_riesz
 from pensemble import (
-    QuadratureError,
     beta,
     bound_constants,
     continuous_sphere_energy,
-    digamma,
     expected_green_energy,
     expected_projective_log,
     expected_projective_riesz,
     expected_sphere_2energy_exact,
     log_gamma,
-    quadrature_expected_projective_riesz,
 )
 from pensemble.closed_forms import balance_coefficient
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial.distance import cdist
 
 from helpers import projective_points, random_unitary, unit_vector
 from oracles import fubini_sin_distance, green_function, green_phi
@@ -22,11 +23,16 @@ from pensemble import (
     realify,
     riesz_energy,
     sample_projective_ensemble,
-    write_pointset,
 )
 from pensemble.cli import main as cli_main
-from pensemble.energy import _unit_pair_sums, green_constant, projective_pair_sums
+from pensemble.energy import (
+    _BLOCK_ROWS,
+    _unit_pair_sums,
+    green_constant,
+    projective_pair_sums,
+)
 from pensemble.geometry import unit_rows
+from pensemble.pointset import pointset_to_json
 
 
 def _roots_of_unity(k):
@@ -255,6 +261,34 @@ def test_stacked_pair_sums_match_each_configuration():
     assert np.isinf(log).tolist() == [False, True, False]
 
 
+def test_pair_sums_past_three_row_blocks_match_one_unblocked_sum():
+    # Three row blocks, the last one partial: each blocked sum agrees with a
+    # math.fsum of all n(n-1) terms, and a coincident pair whose rows both
+    # lie in the last block makes every sum of the set +inf.
+    n = 2 * _BLOCK_ROWS + 52
+    rng = np.random.default_rng(19)
+    real = rng.standard_normal((n, 3))
+    mat = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    off = ~np.eye(n, dtype=bool)
+    dist = cdist(real, real)[off]
+    assert riesz_energy(real, 1.5) == pytest.approx(math.fsum(dist ** -1.5), rel=1e-13)
+    assert log_energy(real) == pytest.approx(math.fsum(-np.log(dist)), rel=1e-13)
+    units = unit_rows(mat)
+    overlap = np.clip(np.abs(units @ units.conj().T), 0.0, 1.0)[off]
+    sin = np.sqrt((1.0 - overlap) * (1.0 + overlap))
+    riesz, log = projective_pair_sums(mat, [1.0, 3.0])
+    for s, value in riesz.items():
+        assert value == pytest.approx(math.fsum(sin ** -s), rel=1e-13)
+    assert log == pytest.approx(math.fsum(-np.log(sin)), rel=1e-13)
+
+    real[n - 10] = real[n - 40]
+    mat[n - 10] = np.exp(0.4j) * mat[n - 40]
+    assert riesz_energy(real, 1.5) == math.inf
+    assert log_energy(real) == math.inf
+    riesz, log = projective_pair_sums(mat, [1.0, 3.0])
+    assert list(riesz.values()) == [math.inf, math.inf] and log == math.inf
+
+
 def test_projective_pair_sums_reject_s_outside_range():
     p, q = _orthogonal_pair(d=3)
     for s in (0.0, -1.0, 6.0, 7.5):
@@ -318,7 +352,7 @@ def _energy_report(tmp_path, capsys, points, *kind, space="CP"):
     path = tmp_path / "points.json"
     fiber = {"L": 1} if space == "CP" else {"k": 1}
     ps = PointSetFile(space=space, d=points.shape[1] - 1, seed=1, points=points, **fiber)
-    write_pointset(path, ps)
+    path.write_text(pointset_to_json(ps), encoding="utf-8")
     assert cli_main(["energy", "--kind", *kind, "--in", str(path)]) == 0
     return json.loads(capsys.readouterr().out)
 

@@ -1,5 +1,7 @@
 import csv
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -242,6 +244,37 @@ def test_partial_last_block_is_worker_count_invariant():
     )
     docs = [run_experiment(config, workers=w).to_dict() for w in (1, 2, 3)]
     assert docs[0] == docs[1] == docs[2]
+
+
+def _no_trial(*args):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("workers", [0, -4, 1.5, "2"])
+def test_run_experiment_rejects_bad_worker_count_before_any_trial(monkeypatch, workers):
+    monkeypatch.setattr("pensemble.montecarlo._block_values", _no_trial)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_experiment(_config(), workers=workers)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was created")
+
+
+def test_default_workers_are_the_cpus_this_process_may_use(monkeypatch):
+    # One CPU in the affinity set: a three-block default run stays in-process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    config = _config(trials=2 * _trials_per_block(3) + 1)
+    assert run_experiment(config).to_dict() == run_experiment(config, workers=1).to_dict()
+
+
+def test_default_workers_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    config = _config(trials=2 * _trials_per_block(3) + 1)
+    assert run_experiment(config).trials_retained == config.trials
 
 
 @pytest.mark.parametrize("r, size", [(3, 128), (21, 74), (120, 2), (231, 1)])

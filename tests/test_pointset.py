@@ -14,7 +14,6 @@ from pensemble.pointset import (
     pointset_from_json,
     pointset_to_json,
     read_pointset,
-    write_pointset,
 )
 
 
@@ -101,7 +100,7 @@ def test_pointset_file_io(tmp_path):
     pts = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     ps = PointSetFile(space="S", d=1, seed=3, points=pts, k=2)
     path = tmp_path / "points.json"
-    write_pointset(path, ps)
+    path.write_text(pointset_to_json(ps), encoding="utf-8")
     back = read_pointset(path)
     assert np.array_equal(back.points, pts)
     assert back.k == 2 and back.L is None
