@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--threads", type=int, default=None,
-        help="worker processes (default: the CPUs this process may use)",
+        help="most worker processes (default: the CPUs this process may use);"
+        " small plans run in-process",
     )
     p.add_argument("--z-max", type=float, default=4.0, help="acceptance threshold on |z|")
     p.set_defaults(func=cmd_validate)

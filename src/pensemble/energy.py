@@ -18,7 +18,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .geometry import COINCIDENT_OVERLAP, unit_rows
 from .lift import _lifted_rows
@@ -98,21 +97,27 @@ def _check_riesz_s(s: float) -> None:
         raise ValueError("s must be positive")
 
 
+def _euclidean_pair_sum(points, term) -> float:
+    """Sum of term(|x_i - x_j|) over ordered pairs of Euclidean points."""
+    # Imported here: scipy.spatial adds about 12 MB to every process that
+    # imports pensemble, and only the Euclidean energies use it.
+    from scipy.spatial.distance import cdist
+
+    pts = _as_point_matrix(points)
+    return float(_blocked_pair_sums(
+        1, pts.shape[0], lambda a, b: cdist(pts[a:b], pts)[None], [term]
+    )[0, 0])
+
+
 def riesz_energy(points, s: float) -> float:
     """Sum of 1/|x_i - x_j|^s over ordered pairs of Euclidean points."""
     _check_riesz_s(s)
-    pts = _as_point_matrix(points)
-    return float(_blocked_pair_sums(
-        1, pts.shape[0], lambda a, b: cdist(pts[a:b], pts)[None], [lambda dm: dm ** (-s)]
-    )[0, 0])
+    return _euclidean_pair_sum(points, lambda dm: dm ** (-s))
 
 
 def log_energy(points) -> float:
     """Sum of log(1/|x_i - x_j|) over ordered pairs of Euclidean points."""
-    pts = _as_point_matrix(points)
-    return float(_blocked_pair_sums(
-        1, pts.shape[0], lambda a, b: cdist(pts[a:b], pts)[None], [lambda dm: -np.log(dm)]
-    )[0, 0])
+    return _euclidean_pair_sum(points, lambda dm: -np.log(dm))
 
 
 def _fiber_2energy(k: int) -> float:

@@ -3,12 +3,14 @@
 Each trial owns an rng derived from (master_seed, trial_index) and draws its
 sample and lift from it alone. Trials run in blocks of consecutive indices,
 cut by trial index at a size set by the plan alone (up to 128 trials, fewer
-as r grows): a block stacks its trials' samples and evaluates their pair
-energies in one batched pass, and the process pool maps whole blocks. So
-results are independent of execution order and of the number of worker
-processes; aggregation is a deterministic fold in trial order. Trials whose
-energies hit a coincident pair are discarded and counted, one trial at a
-time.
+as r grows): a block samples its trials in lockstep, each on its own
+stream and with the bits that trial would get alone, then evaluates their
+pair energies in one batched pass. A process pool maps whole blocks when the
+plan has more than one block and at least _BLOCK_PAIRS pair entries
+(trials * r^2); `workers` bounds its size. So results are independent of
+execution order and of the number of worker processes; aggregation is a
+deterministic fold in trial order. Trials whose energies hit a coincident
+pair are discarded and counted, one trial at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .energy import (
 )
 from .geometry import unit_rows
 from .lift import lift_to_sphere, realify
-from .sampler import KernelParams, _check_seed, _sample_points, derive_trial_rng
+from .sampler import KernelParams, _check_seed, _lockstep_points, derive_trial_rng
 
 __all__ = [
     "EnergySpec",
@@ -187,25 +189,25 @@ def _trials_per_block(r: int) -> int:
 def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     """Energy values of trials start..stop-1, one row per trial.
 
-    Each trial samples, then lifts, on its own derived stream; the pair
-    energies of the whole block then come from one batched pass over the
-    stacked samples, and one over the stacked lifts.
+    Each trial samples, then lifts, on its own derived stream; the samples
+    of the block are drawn in lockstep, and the pair energies of the whole
+    block then come from one batched pass over the stacked samples, and one
+    over the stacked lifts.
     """
     params, k = config.params, config.k
-    count = stop - start
-    points = np.empty((count, params.r, params.d + 1), dtype=np.complex128)
+    rngs = [derive_trial_rng(config.master_seed, t) for t in range(start, stop)]
+    points, _ = _lockstep_points(params, rngs)
     reps = np.empty_like(points)
-    phases = np.empty((count, params.r))
-    out = np.empty((count, len(config.energies)))
+    phases = np.empty((len(rngs), params.r))
+    out = np.empty((len(rngs), len(config.energies)))
     # Sphere Riesz away from s = 2 has no per-fiber closed form: pairwise sum.
     pairwise = [
         (col, spec.s) for col, spec in enumerate(config.energies)
         if spec.kind == "sphere_riesz" and spec.s != 2.0
     ]
-    for t in range(count):
-        rng = derive_trial_rng(config.master_seed, start + t)
-        points[t], _ = _sample_points(params, rng)
-        if k >= 1:
+    if k >= 1:
+        # Each lift draws from its trial's stream after that trial's sample.
+        for t, rng in enumerate(rngs):
             lifted = lift_to_sphere(points[t], k, rng)
             reps[t], phases[t] = lifted.representatives, lifted.phases
             for col, s in pairwise:
@@ -329,19 +331,25 @@ def _usable_cpus() -> int:
 
 
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
-    """Run all trials, block by block (optionally across processes), and
-    aggregate by trial index. ``workers`` defaults to the number of CPUs
-    this process may use."""
+    """Run all trials, block by block (across processes for plans large
+    enough to pay for a pool), and aggregate by trial index. ``workers`` is
+    the most processes to use; it defaults to the number of CPUs this
+    process may use."""
     start = time.perf_counter()
     if workers is None:
         workers = _usable_cpus()
     elif not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    trials, size = config.trials, _trials_per_block(config.params.r)
+    trials, r = config.trials, config.params.r
+    size = _trials_per_block(r)
     blocks = [(a, min(a + size, trials)) for a in range(0, trials, size)]
-    workers = min(workers, len(blocks))
     # One block is one unit of work: with nothing to split, it runs in-process.
-    if workers <= 1:
+    # So does a plan that would fit in one block without the trial cap. That
+    # moves only r <= 15 (at larger r such a plan is one block), where it was
+    # measured at r = 3 alone, with 2 workers on 2 cores and one BLAS thread:
+    # the pool lost up to 3000 trials and won from 4000 (2^15 entries is 3641).
+    workers = min(workers, len(blocks))
+    if workers <= 1 or trials * r * r < _BLOCK_PAIRS:
         parts = [_block_values(config, a, b) for a, b in blocks]
     else:
         with multiprocessing.get_context().Pool(processes=workers) as pool:

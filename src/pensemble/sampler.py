@@ -18,6 +18,12 @@ constant and the kernel's phase gauge cancel in the ratio, so no feature
 vectors are needed. G_i^{-1} enters through the lower-triangular inverse
 Cholesky factor W_i (G_i^{-1} = W_i^H W_i), which grows by one row per
 accepted point. The expected acceptance rate at step i is (r-i)/r.
+
+`_sample_points` draws one sample from one stream. `_lockstep_points` draws
+a block of samples, one per stream, with the steps of all trials in
+lockstep: it returns for every stream the bits `_sample_points` returns for
+it, and leaves the stream where `_sample_points` leaves it. The Monte Carlo
+harness samples every block of trials with it.
 """
 
 from __future__ import annotations
@@ -164,6 +170,80 @@ def _sample_points(
         inv_chol[i, i] = 1.0 / delta
         points[i] = cand
         proposals.append(tries)
+    return points, proposals
+
+
+def _lockstep_proposals(
+    d: int, rngs: list[np.random.Generator], pending: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One proposal and its acceptance uniform for each pending trial.
+
+    Each trial draws from its own stream in the order `_sample_points` does:
+    normals, a redraw while their norm is tiny, then the uniform. The norms
+    go through matmul, which calls the same BLAS dot as `re.dot(re)`.
+    """
+    n, pending = 2 * (d + 1), pending.tolist()
+    x = np.empty((len(pending), n))
+    for row, t in zip(x, pending):
+        rngs[t].standard_normal(out=row)
+    re, im = x[:, 0::2], x[:, 1::2]
+    squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    norm = np.sqrt(squares[:, 0, 0])
+    for j in np.flatnonzero(norm <= 1e-150):
+        row, rng = x[j], rngs[pending[j]]
+        while norm[j] <= 1e-150:
+            rng.standard_normal(out=row)
+            norm[j] = math.sqrt(row[0::2].dot(row[0::2]) + row[1::2].dot(row[1::2]))
+    uniform = np.array([rngs[t].random() for t in pending])
+    return x.view(np.complex128) / norm[:, None], uniform
+
+
+def _lockstep_points(
+    params: KernelParams, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_sample_points` for a block of streams at once, bit for bit.
+
+    Returns (T, r, d+1) representatives and (T, r) proposal counts, row t
+    equal to `_sample_points(params, rngs[t])`. At step i every trial still
+    pending draws a proposal from its own stream; one batched pass then
+    forms the residuals of all of them, and a second grows W for those that
+    accepted. The rest try again in the next round. Every reduction is a
+    matmul, which calls per trial the BLAS routine the single sampler calls
+    (gemv, or dot when one side is a vector), so the bits agree.
+    """
+    d, L, r = params.d, params.L, params.r
+    budget = MAX_REJECTIONS_PER_POINT
+    trials = np.arange(len(rngs))
+    points = np.empty((trials.size, r, d + 1), dtype=np.complex128)
+    inv_chol = np.zeros((trials.size, r, r), dtype=np.complex128)
+    proposals = np.ones((trials.size, r), dtype=np.int64)
+    points[:, 0], _ = _lockstep_proposals(d, rngs, trials)
+    inv_chol[:, 0, 0] = 1.0
+    for i in range(1, r):
+        # Views while every trial is pending; the rows of the pending trials
+        # are copied out only when some trial accepts, not on every round.
+        pending, w, selected = trials, inv_chol[:, :i, :i], points[:, :i]
+        for tries in range(1, budget + 1):
+            cand, uniform = _lockstep_proposals(d, rngs, pending)
+            y = w @ (selected @ cand.conj()[:, :, None]) ** L
+            residual = 1.0 - (y.conj().transpose(0, 2, 1) @ y)[:, 0, 0].real
+            accept = uniform < residual
+            if accept.any():
+                done = pending[accept]
+                delta = np.sqrt(residual[accept])[:, None]
+                yh = y[accept].conj().transpose(0, 2, 1)
+                inv_chol[done, i, :i] = -(yh @ w[accept])[:, 0] / delta
+                inv_chol[done, i, i] = 1.0 / delta[:, 0]
+                points[done, i] = cand[accept]
+                proposals[done, i] = tries
+                rest = ~accept
+                pending, w, selected = pending[rest], w[rest], selected[rest]
+                if not pending.size:
+                    break
+        else:
+            raise RejectionBudgetExceededError(
+                f"point {i}: no acceptance within {budget} proposals"
+            )
     return points, proposals
 
 

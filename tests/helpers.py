@@ -1,5 +1,7 @@
 """Shared strategies and small numeric utilities for the test suite."""
 
+import multiprocessing
+
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -34,3 +36,16 @@ def random_unitary(n, rng):
 def unit_vector(values):
     v = np.asarray(values, dtype=np.complex128)
     return v / np.linalg.norm(v)
+
+
+def counting_pools(monkeypatch):
+    """Count every process pool context taken from now on; returns the log."""
+    starts = []
+    get_context = multiprocessing.get_context
+
+    def counting(*args, **kwargs):
+        starts.append(args)
+        return get_context(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting)
+    return starts

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from helpers import counting_pools
 from oracles import green_phi, quadrature_expected_projective_riesz
 from pensemble import (
     EnergySpec,
@@ -31,6 +32,8 @@ from pensemble import (
     expected_green_energy,
     run_experiment,
 )
+from pensemble.cli import main as cli_main
+from pensemble.montecarlo import _BLOCK_PAIRS
 from pensemble.sampler import _sample_points, derive_trial_rng
 
 SEED = 20_250_811
@@ -266,7 +269,7 @@ def _run_cli(*args):
     )
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
     commands = [
         ("expected", "--which", "projective", "--d", "2", "--L", "1", "--s", "2"),
         ("expected", "--which", "sphere2", "--d", "1", "--L", "2", "--k", "3"),
@@ -298,14 +301,22 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert _run_cli("figure1", "--d-max", "12", "--out", str(out_b)).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
-    # 257 trials at r = 3 make three blocks of trials, so 8 workers split them.
-    base = ("validate", "--d", "1", "--L", "2", "--k", "2", "--trials", "257",
+    # 150 trials at r = 21 make blocks of 74, 74 and 2 trials, and 150 * 21^2
+    # pair entries are past the pool's threshold, so 8 workers split them.
+    base = ("validate", "--d", "1", "--L", "20", "--k", "2", "--trials", "150",
             "--seed", "21", "--z-max", "50")
+    assert 150 * 21**2 >= _BLOCK_PAIRS
     one = _run_cli(*base, "--threads", "1")
     eight = _run_cli(*base, "--threads", "8")
     assert one.returncode == eight.returncode == 0
     assert one.stdout == eight.stdout
     doc = json.loads(one.stdout)
-    assert doc["trials"] == 257
+    assert doc["trials"] == 150
+    # The same run in-process shows that a pool starts, and prints the same.
+    starts = counting_pools(monkeypatch)
+    capsys.readouterr()
+    assert cli_main([*base, "--threads", "8"]) == 0
+    assert len(starts) == 1
+    assert capsys.readouterr().out.encode() == one.stdout
     announce(9, "CLI determinism and worker-count invariance", True,
              f"{len(commands)} commands byte-stable; 1 vs 8 workers identical")

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import counting_pools
 from pensemble import (
     EnergySpec,
     ExperimentConfig,
@@ -24,13 +25,14 @@ from pensemble import (
 )
 from pensemble.cli import main as cli_main
 from pensemble.montecarlo import (
+    _BLOCK_PAIRS,
     _aggregate_column,
     _block_values,
     _build_report,
     _trials_per_block,
 )
 from pensemble.pointset import dumps
-from pensemble.sampler import _sample_points
+from pensemble.sampler import _lockstep_points, _sample_points
 
 
 def _config(**overrides):
@@ -138,19 +140,18 @@ def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
     clean = _block_values(config, 0, 12)
     calls = []
 
-    def duplicating(params, rng):
-        points, proposals = _sample_points(params, rng)
-        if len(calls) == 5:
-            points[1] = points[0]
-        calls.append(None)
+    def duplicating(params, rngs):
+        points, proposals = _lockstep_points(params, rngs)
+        points[5, 1] = points[5, 0]
+        calls.append(len(rngs))
         return points, proposals
 
-    monkeypatch.setattr("pensemble.montecarlo._sample_points", duplicating)
+    monkeypatch.setattr("pensemble.montecarlo._lockstep_points", duplicating)
     values = _block_values(config, 0, 12)
+    assert calls == [12]
     assert np.all(np.isinf(values[5]))
     others = np.arange(12) != 5
     assert np.array_equal(values[others], clean[others])
-    calls.clear()
     report = run_experiment(config, workers=1)
     assert report.trials_discarded == 1 and report.trials_retained == 11
 
@@ -227,23 +228,41 @@ def test_run_experiment_deterministic_repeat():
     assert dumps(a.to_dict()) == dumps(b.to_dict())
 
 
-def test_run_experiment_worker_count_invariance():
-    # Three blocks, so every pool size below splits the trials.
-    config = _config(trials=2 * _trials_per_block(3) + 1, energies=default_energy_specs(2, 0))
+def test_run_experiment_worker_count_invariance(monkeypatch):
+    # Three blocks at r = 21, past 2^15 pair entries, so every pool size
+    # below starts a pool and splits the trials.
+    starts = counting_pools(monkeypatch)
+    config = _config(
+        L=5, trials=2 * _trials_per_block(21) + 1, energies=default_energy_specs(2, 0)
+    )
     reports = [run_experiment(config, workers=w) for w in (1, 2, 4)]
+    assert len(starts) == 2
     docs = [dumps(rep.to_dict()) for rep in reports]
     assert docs[0] == docs[1] == docs[2]
 
 
-def test_partial_last_block_is_worker_count_invariant():
-    # Two blocks, the second holding one trial: the blocks are cut by trial
-    # index, so any pool size gives the same report.
+def test_partial_last_block_is_worker_count_invariant(monkeypatch):
+    # Two blocks at r = 21, the second holding one trial: the blocks are cut
+    # by trial index, so any pool size gives the same report.
+    starts = counting_pools(monkeypatch)
     config = _config(
-        d=1, k=2, trials=_trials_per_block(2) + 1,
+        d=1, L=20, k=2, trials=_trials_per_block(21) + 1,
         energies=default_energy_specs(1, 2) + (EnergySpec("sphere_riesz", 1.5),),
     )
     docs = [run_experiment(config, workers=w).to_dict() for w in (1, 2, 3)]
+    assert len(starts) == 2
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_small_plan_never_starts_a_pool(monkeypatch):
+    # At r = 3, 3640 trials (29 blocks, 32760 pair entries) stay in-process
+    # at workers=2, and one trial more (32769 entries) starts a pool.
+    starts = counting_pools(monkeypatch)
+    under = _BLOCK_PAIRS // 9
+    for trials, pools in ((under, 0), (under + 1, 1)):
+        config = _config(trials=trials)
+        assert run_experiment(config, workers=2).trials_retained == trials
+        assert len(starts) == pools
 
 
 def _no_trial(*args):
@@ -262,10 +281,11 @@ def _no_pool(*args, **kwargs):
 
 
 def test_default_workers_are_the_cpus_this_process_may_use(monkeypatch):
-    # One CPU in the affinity set: a three-block default run stays in-process.
+    # One CPU in the affinity set: a default run of a plan that pools at two
+    # workers (three blocks at r = 21) stays in-process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
-    config = _config(trials=2 * _trials_per_block(3) + 1)
+    config = _config(L=5, trials=2 * _trials_per_block(21) + 1)
     assert run_experiment(config).to_dict() == run_experiment(config, workers=1).to_dict()
 
 
@@ -273,7 +293,7 @@ def test_default_workers_fall_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
-    config = _config(trials=2 * _trials_per_block(3) + 1)
+    config = _config(L=5, trials=2 * _trials_per_block(21) + 1)
     assert run_experiment(config).trials_retained == config.trials
 
 

@@ -17,7 +17,12 @@ from pensemble import (
 )
 from pensemble.energy import projective_pair_sums
 from pensemble.geometry import COINCIDENT_OVERLAP
-from pensemble.sampler import _assert_no_coincidence, _sample_points, _uniform_unit_vector
+from pensemble.sampler import (
+    _assert_no_coincidence,
+    _lockstep_points,
+    _sample_points,
+    _uniform_unit_vector,
+)
 
 KS_ALPHA = 1e-3
 
@@ -215,6 +220,71 @@ def test_seeded_samples_match_committed_digest(d, L, count, digest):
         h.update(points.tobytes())
         h.update(np.asarray(proposals, dtype=np.int64).tobytes())
     assert h.hexdigest()[:32] == digest
+
+
+# (d, L) with r from 2 to 126: d = 1, large d at L = 1, and large L at d = 1.
+_LOCKSTEP_GRID = [
+    (1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (2, 5), (20, 1), (1, 40), (10, 2), (2, 14), (5, 4),
+]
+
+
+@pytest.mark.parametrize("d, L", _LOCKSTEP_GRID)
+def test_lockstep_block_matches_each_stream_bit_for_bit(d, L):
+    # Block sizes that are not the plan's: a partial block of 37, or 5 at large r.
+    params = KernelParams(d, L)
+    count = 37 if params.r <= 45 else 5
+    rngs = [derive_trial_rng(20261020, index) for index in range(count)]
+    points, proposals = _lockstep_points(params, rngs)
+    assert points.shape == (count, params.r, d + 1)
+    assert proposals.shape == (count, params.r)
+    for index, rng in enumerate(rngs):
+        ref_rng = derive_trial_rng(20261020, index)
+        ref_points, ref_proposals = _sample_points(params, ref_rng)
+        assert np.array_equal(points[index], ref_points)
+        assert proposals[index].tolist() == ref_proposals
+        # Each stream is left where the single sampler leaves it, so the
+        # lift that follows draws the same phases.
+        assert rng.random() == ref_rng.random()
+
+
+class _ZeroFirstNormal:
+    """A stream whose first normal draw is all zeros; logs the draw order."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, size=None, out=None):
+        self.draws.append("normal")
+        if len(self.draws) > 1:
+            return self._rng.standard_normal(size, out=out)
+        if out is None:
+            return np.zeros(size)
+        out[:] = 0.0
+        return out
+
+    def random(self):
+        self.draws.append("uniform")
+        return self._rng.random()
+
+
+def test_lockstep_redraws_a_zero_proposal_before_its_uniform():
+    params = KernelParams(2, 2)
+    fake, ref = _ZeroFirstNormal(8), _ZeroFirstNormal(8)
+    points, proposals = _lockstep_points(params, [np.random.default_rng(9), fake])
+    ref_points, ref_proposals = _sample_points(params, ref)
+    assert fake.draws[:3] == ["normal", "normal", "uniform"]
+    assert fake.draws == ref.draws
+    assert np.array_equal(points[1], ref_points)
+    assert proposals[1].tolist() == ref_proposals
+    assert np.array_equal(points[0], _sample_points(params, np.random.default_rng(9))[0])
+
+
+def test_lockstep_rejection_budget_raises(monkeypatch):
+    monkeypatch.setattr("pensemble.sampler.MAX_REJECTIONS_PER_POINT", 1)
+    rngs = [derive_trial_rng(0, index) for index in range(16)]
+    with pytest.raises(RejectionBudgetExceededError):
+        _lockstep_points(KernelParams(1, 9), rngs)
 
 
 def test_rejection_budget_raises(monkeypatch):
