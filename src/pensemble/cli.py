@@ -142,15 +142,15 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_expected(args: argparse.Namespace) -> int:
     which = args.which
+    for flag, owner in (("s", "projective"), ("k", "sphere2")):
+        if (getattr(args, flag) is None) == (which == owner):
+            verb = "is required for" if which == owner else "does not apply to"
+            raise ValueError(f"--{flag} {verb} --which {which}")
     if which == "projective":
-        if args.s is None:
-            raise ValueError("--s is required for --which projective")
         result = expected_projective_riesz(args.d, args.L, args.s)
     elif which == "projective-log":
         result = expected_projective_log(args.d, args.L)
     elif which == "sphere2":
-        if args.k is None:
-            raise ValueError("--k is required for --which sphere2")
         result = expected_sphere_2energy_exact(args.d, args.L, args.k)
     else:  # green
         result = expected_green_energy(args.d, args.L)
@@ -270,7 +270,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,12 @@
 """Lifting projective samples to odd-dimensional spheres.
 
 Each projective point contributes a fiber of k unit representatives, equally
-spaced in phase with one uniform random phase offset per point:
+spaced in phase with one uniform offset per point, drawn by `_lift_phases`:
 
     y_(i,j) = exp(1j * (theta_i + 2*pi*j/k)) * x_i,   0 <= j < k,
 
-giving n = k*r points on the unit sphere of C^(d+1), i.e. S^(2d+1).
+giving n = k*r points on the unit sphere of C^(d+1), i.e. S^(2d+1). A Monte
+Carlo block lifts all its trials as one stacked (T, r) phase draw.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ def _check_k(k: int) -> None:
     """The fiber-size rule, shared by the lift and its closed form."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
+
+
+def _lift_phases(r: int, rng: np.random.Generator) -> np.ndarray:
+    """r offsets theta_i, uniform on [0, 2 pi), drawn from the rng after the sample."""
+    return rng.uniform(0.0, 2.0 * math.pi, size=r)
 
 
 def _lifted_rows(representatives, phases, k: int, fibers, steps) -> np.ndarray:
@@ -83,7 +89,7 @@ def lift_to_sphere(
     the configuration normalises the rows.
     """
     reps = sample.points if isinstance(sample, ProjectiveSample) else np.asarray(sample)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=reps.shape[:1])
+    phases = _lift_phases(len(reps), rng)
     return SphereConfiguration(representatives=reps, phases=phases, k=k)
 
 

@@ -1,16 +1,16 @@
 """Seeded Monte Carlo harness comparing sampled energies to closed forms.
 
 Each trial owns an rng derived from (master_seed, trial_index) and draws its
-sample and lift from it alone. Trials run in blocks of consecutive indices,
-cut by trial index at a size set by the plan alone (up to 128 trials, fewer
-as r grows): a block samples its trials in lockstep, each on its own
-stream and with the bits that trial would get alone, then evaluates their
-pair energies in one batched pass. A process pool maps whole blocks when the
-plan has more than one block and at least _BLOCK_PAIRS pair entries
-(trials * r^2); `workers` bounds its size. So results are independent of
-execution order and of the number of worker processes; aggregation is a
-deterministic fold in trial order. Trials whose energies hit a coincident
-pair are discarded and counted, one trial at a time.
+sample and lift phases from it alone. Trials run in blocks of consecutive
+indices, of a size set by the plan alone (up to 128 trials, fewer as r grows):
+a block samples its trials in lockstep, each on its own stream and with the
+bits that trial would get alone, lifts them as one stacked (T, r) phase draw,
+then evaluates their pair energies in one batched pass. A process pool maps
+whole blocks when the plan has more than one block and at least _BLOCK_PAIRS
+pair entries (trials * r^2); `workers` bounds its size. So results are
+independent of execution order and of the number of worker processes;
+aggregation is a deterministic fold in trial order. Trials whose energies hit
+a coincident pair are discarded and counted, one trial at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .energy import (
     riesz_energy,
 )
 from .geometry import unit_rows
-from .lift import lift_to_sphere, realify
+from .lift import SphereConfiguration, _lift_phases, realify
 from .sampler import KernelParams, _check_seed, _lockstep_points, derive_trial_rng
 
 __all__ = [
@@ -64,7 +64,7 @@ _MAX_BLOCK_TRIALS = 128
 
 @dataclass(frozen=True)
 class EnergySpec:
-    """One energy to estimate per trial; s is ignored by the log/green kinds."""
+    """One energy to estimate per trial; the log and green kinds take no s (0)."""
 
     kind: str
     s: float = 0.0
@@ -72,6 +72,8 @@ class EnergySpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown energy kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind in ("projective_log", "green") and self.s != 0.0:
+            raise ValueError(f"{self.kind} takes no s, got s = {self.s}")
 
     def label(self) -> str:
         if self.kind in ("projective_riesz", "sphere_riesz"):
@@ -189,37 +191,24 @@ def _trials_per_block(r: int) -> int:
 def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     """Energy values of trials start..stop-1, one row per trial.
 
-    Each trial samples, then lifts, on its own derived stream; the samples
-    of the block are drawn in lockstep, and the pair energies of the whole
-    block then come from one batched pass over the stacked samples, and one
-    over the stacked lifts.
+    Each trial samples (in lockstep with the block), then draws its lift
+    phases, on its own stream. The block's unit rows, normalised once as one
+    stack, feed one batched projective pass and, with the (T, r) phases, one
+    batched lifted 2-energy pass.
     """
     params, k = config.params, config.k
     rngs = [derive_trial_rng(config.master_seed, t) for t in range(start, stop)]
     points, _ = _lockstep_points(params, rngs)
-    reps = np.empty_like(points)
-    phases = np.empty((len(rngs), params.r))
-    out = np.empty((len(rngs), len(config.energies)))
-    # Sphere Riesz away from s = 2 has no per-fiber closed form: pairwise sum.
-    pairwise = [
-        (col, spec.s) for col, spec in enumerate(config.energies)
-        if spec.kind == "sphere_riesz" and spec.s != 2.0
-    ]
+    mats = unit_rows(points.reshape(-1, params.d + 1)).reshape(points.shape)
     if k >= 1:
-        # Each lift draws from its trial's stream after that trial's sample.
-        for t, rng in enumerate(rngs):
-            lifted = lift_to_sphere(points[t], k, rng)
-            reps[t], phases[t] = lifted.representatives, lifted.phases
-            for col, s in pairwise:
-                out[t, col] = riesz_energy(realify(lifted), s)
+        phases = np.array([_lift_phases(params.r, rng) for rng in rngs])
     kinds = {spec.kind for spec in config.energies}
     if kinds - {"sphere_riesz"}:
-        # One pass over the sin-distance matrices serves every projective kind.
         s_values = [spec.s for spec in config.energies if spec.kind == "projective_riesz"]
         if "green" in kinds:
             s_values.extend(_green_s_values(config.d))
-        mats = unit_rows(points.reshape(-1, params.d + 1)).reshape(points.shape)
         riesz, log = _unit_pair_sums(mats, s_values)
+    out = np.empty((len(rngs), len(config.energies)))
     for col, spec in enumerate(config.energies):
         if spec.kind == "projective_riesz":
             out[:, col] = riesz[spec.s]
@@ -229,7 +218,12 @@ def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray
             pairs = params.r * (params.r - 1)
             out[:, col] = _green_combination(config.d, log, riesz.__getitem__, pairs)
         elif spec.s == 2.0:  # sphere_riesz
-            out[:, col] = _sphere_2energies(reps, phases, k)
+            out[:, col] = _sphere_2energies(mats, phases, k)
+        else:  # pairwise off s = 2, on the lift `lift_to_sphere` builds, bit for bit
+            out[:, col] = [
+                riesz_energy(realify(SphereConfiguration(p, theta, k)), spec.s)
+                for p, theta in zip(points, phases)
+            ]
     return out
 
 

@@ -60,6 +60,23 @@ def test_expected_requires_s_for_projective():
     assert b"--s is required" in res.stderr
 
 
+@pytest.mark.parametrize("which, flags, message", [
+    ("projective-log", ["--s", "1"], "--s does not apply to --which projective-log"),
+    ("green", ["--s", "3", "--k", "9"], "--s does not apply to --which green"),
+    ("green", ["--k", "9"], "--k does not apply to --which green"),
+    ("sphere2", ["--k", "2", "--s", "1.5"], "--s does not apply to --which sphere2"),
+    ("projective", ["--s", "2", "--k", "3"], "--k does not apply to --which projective"),
+    ("projective-log", ["--k", "2"], "--k does not apply to --which projective-log"),
+    ("sphere2", [], "--k is required for --which sphere2"),
+])
+def test_expected_refuses_flags_its_which_does_not_use(capsys, which, flags, message):
+    # The record echoes --s and --k, so it must not carry a value it ignored.
+    code = cli_main(["expected", "--which", which, "--d", "2", "--L", "1", *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_expected_rejects_out_of_range_s():
     res = run_cli("expected", "--which", "projective", "--d", "1", "--L", "1", "--s", "7")
     assert res.returncode == 2
@@ -323,6 +340,20 @@ def test_validate_refuses_bad_threads_or_threshold_before_any_trial(monkeypatch,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--d", "2", "--L", "3000", "--seed", "1"],
+    ["validate", "--d", "2", "--L", "3000", "--trials", "2", "--seed", "1", "--threads", "1"],
+])
+def test_plan_too_large_to_allocate_exits_2(capsys, command):
+    # r = C(3002, 2) = 4504501: the sampler's r x r complex inverse Cholesky
+    # factor would take 295 TiB, past any address space, so numpy refuses
+    # the allocation at once. One worker, so no pool starts.
+    assert cli_main(command) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate 295. TiB")
 
 
 def test_figure1_csv(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import multiprocessing
 import os
@@ -58,6 +59,9 @@ def test_config_validation():
         _config(energies=())
     with pytest.raises(ValueError):
         EnergySpec("unknown_kind")
+    for kind in ("projective_log", "green"):
+        with pytest.raises(ValueError, match="takes no s"):
+            EnergySpec(kind, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -133,6 +137,19 @@ def test_trial_values_match_public_energies(d, L, k):
             assert value == pytest.approx(expected, rel=1e-12), spec.label()
 
 
+def _no_configuration(*args, **kwargs):
+    raise AssertionError("a SphereConfiguration was built")
+
+
+def test_lifted_block_builds_no_sphere_configuration_at_s2(monkeypatch):
+    # The 2-energy reads the block's stacked unit rows and (T, r) phases, so
+    # no trial is wrapped in a configuration only to be unpacked again.
+    monkeypatch.setattr("pensemble.lift.SphereConfiguration", _no_configuration)
+    monkeypatch.setattr("pensemble.montecarlo.SphereConfiguration", _no_configuration)
+    config = _config(L=2, k=128, energies=default_energy_specs(2, 128))
+    assert np.all(np.isfinite(_block_values(config, 0, 4)))
+
+
 def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
     # Trial 5 gets a duplicated row: its row of the block turns +inf, every
     # other row keeps the values of the unpatched block bit for bit.
@@ -154,6 +171,27 @@ def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
     assert np.array_equal(values[others], clean[others])
     report = run_experiment(config, workers=1)
     assert report.trials_discarded == 1 and report.trials_retained == 11
+
+
+# sha256 of the report JSON of `run_experiment(workers=1)`, first 32 hex
+# digits: sampling, lift phases, pair passes and aggregation, bit for bit.
+# The projective plan runs blocks of 128 and 72 trials; the lifted one,
+# blocks of 74 and 1 trials, with a sphere Riesz column off s = 2.
+_REPORT_DIGESTS = [
+    (2, 1, 0, (), 200, "05ea3abc2b608b8bb3dcd117faec0efd"),
+    (1, 20, 2, (EnergySpec("sphere_riesz", 1.5),), _trials_per_block(21) + 1,
+     "addc2527ae5734cb1cc80f3d14d88126"),
+]
+
+
+@pytest.mark.parametrize("d, L, k, extra, trials, digest", _REPORT_DIGESTS)
+def test_seeded_reports_match_committed_digest(d, L, k, extra, trials, digest):
+    config = ExperimentConfig(
+        d=d, L=L, k=k, energies=default_energy_specs(d, k) + extra,
+        trials=trials, master_seed=20261021,
+    )
+    doc = dumps(run_experiment(config, workers=1).to_dict())
+    assert hashlib.sha256(doc.encode()).hexdigest()[:32] == digest
 
 
 # ---------------------------------------------------------------- aggregation
