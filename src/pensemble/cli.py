@@ -69,6 +69,16 @@ def _read_space(path: str, space: str, command: str) -> PointSetFile:
     return ps
 
 
+def _check_flags(args: argparse.Namespace, option: str, owners: dict) -> None:
+    """A flag in ``owners`` is required for the values of ``--option`` that
+    own it and refused for the rest: a record never echoes an unused value."""
+    value = getattr(args, option)
+    for flag, owned_by in owners.items():
+        if (getattr(args, flag) is None) == (value in owned_by):
+            verb = "is required for" if value in owned_by else "does not apply to"
+            raise ValueError(f"--{flag} {verb} --{option} {value}")
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -110,12 +120,9 @@ _ENERGY_KINDS = {
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
+    _check_flags(args, "kind", {"s": ("riesz", "projective")})
     kind = _ENERGY_KINDS[args.kind]
-    s = 0.0
-    if kind in ("riesz", "projective_riesz"):
-        if args.s is None:
-            raise ValueError(f"--s is required for kind {args.kind!r}")
-        s = args.s
+    s = 0.0 if args.s is None else args.s
     space = SPACE_SPHERE if kind in ("riesz", "log") else SPACE_PROJECTIVE
     ps = _read_space(args.infile, space, f"energy --kind {args.kind}")
     if kind == "riesz":
@@ -141,11 +148,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_expected(args: argparse.Namespace) -> int:
+    _check_flags(args, "which", {"s": ("projective",), "k": ("sphere2",)})
     which = args.which
-    for flag, owner in (("s", "projective"), ("k", "sphere2")):
-        if (getattr(args, flag) is None) == (which == owner):
-            verb = "is required for" if which == owner else "does not apply to"
-            raise ValueError(f"--{flag} {verb} --which {which}")
     if which == "projective":
         result = expected_projective_riesz(args.d, args.L, args.s)
     elif which == "projective-log":

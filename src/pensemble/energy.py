@@ -92,9 +92,9 @@ def _as_point_matrix(points) -> np.ndarray:
 
 
 def _check_riesz_s(s: float) -> None:
-    """The Euclidean Riesz exponent rule s > 0."""
-    if not s > 0:
-        raise ValueError("s must be positive")
+    """The Euclidean Riesz exponent rule 0 < s < inf."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite; got {s}")
 
 
 def _euclidean_pair_sum(points, term) -> float:

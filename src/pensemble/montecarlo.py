@@ -2,15 +2,15 @@
 
 Each trial owns an rng derived from (master_seed, trial_index) and draws its
 sample and lift phases from it alone. Trials run in blocks of consecutive
-indices, of a size set by the plan alone (up to 128 trials, fewer as r grows):
-a block samples its trials in lockstep, each on its own stream and with the
-bits that trial would get alone, lifts them as one stacked (T, r) phase draw,
-then evaluates their pair energies in one batched pass. A process pool maps
-whole blocks when the plan has more than one block and at least _BLOCK_PAIRS
-pair entries (trials * r^2); `workers` bounds its size. So results are
-independent of execution order and of the number of worker processes;
-aggregation is a deterministic fold in trial order. Trials whose energies hit
-a coincident pair are discarded and counted, one trial at a time.
+indices, of at most 2^15 pair entries (trials * r^2, at least one trial), so
+r alone sets their size: a block samples its trials in lockstep, each on its
+own stream and with the bits that trial would get alone, lifts them as one
+stacked (T, r) phase draw, then evaluates their pair energies in one batched
+pass. A plan of one block runs in-process; a process pool maps the blocks of
+a larger plan, and `workers` bounds its size. So results are independent of
+execution order and of the number of worker processes; aggregation is a
+deterministic fold in trial order. Trials whose energies hit a coincident
+pair are discarded and counted, one trial at a time.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ __all__ = [
 _KINDS = ("projective_riesz", "projective_log", "green", "sphere_riesz")
 _MOM_BLOCKS = 20
 # A block holds as many trials as fit in _BLOCK_PAIRS pair entries (r^2 per
-# trial), at least 1 and at most _MAX_BLOCK_TRIALS: the batched passes then
-# hold a few arrays of that size, and large-r plans still split into many
-# units of work for the pool.
+# trial, at least one trial), so the batched passes hold a few arrays of that
+# size. It is also the pool threshold: a plan of more than one block starts a
+# pool. Measured at r = 3 with 2 workers on 2 cores and one BLAS thread, the
+# pool lost up to 3000 trials and won from 4000; one block is 3640 trials.
 _BLOCK_PAIRS = 1 << 15
-_MAX_BLOCK_TRIALS = 128
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def default_energy_specs(d: int, k: int) -> tuple[EnergySpec, ...]:
 def _trials_per_block(r: int) -> int:
     """Trials per block for configurations of r points; r alone sets it, so
     the blocks of a plan depend on trial indices alone."""
-    return min(max(_BLOCK_PAIRS // (r * r), 1), _MAX_BLOCK_TRIALS)
+    return max(_BLOCK_PAIRS // (r * r), 1)
 
 
 def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
@@ -325,25 +325,19 @@ def _usable_cpus() -> int:
 
 
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
-    """Run all trials, block by block (across processes for plans large
-    enough to pay for a pool), and aggregate by trial index. ``workers`` is
-    the most processes to use; it defaults to the number of CPUs this
-    process may use."""
+    """Run all trials, block by block (across processes for plans of more
+    than one block), and aggregate by trial index. ``workers`` is the most
+    processes to use; it defaults to the number of CPUs this process may
+    use."""
     start = time.perf_counter()
     if workers is None:
         workers = _usable_cpus()
     elif not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    trials, r = config.trials, config.params.r
-    size = _trials_per_block(r)
+    trials, size = config.trials, _trials_per_block(config.params.r)
     blocks = [(a, min(a + size, trials)) for a in range(0, trials, size)]
-    # One block is one unit of work: with nothing to split, it runs in-process.
-    # So does a plan that would fit in one block without the trial cap. That
-    # moves only r <= 15 (at larger r such a plan is one block), where it was
-    # measured at r = 3 alone, with 2 workers on 2 cores and one BLAS thread:
-    # the pool lost up to 3000 trials and won from 4000 (2^15 entries is 3641).
     workers = min(workers, len(blocks))
-    if workers <= 1 or trials * r * r < _BLOCK_PAIRS:
+    if workers <= 1:
         parts = [_block_values(config, a, b) for a, b in blocks]
     else:
         with multiprocessing.get_context().Pool(processes=workers) as pool:

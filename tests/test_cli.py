@@ -189,6 +189,34 @@ def test_energy_riesz_requires_s(tmp_path):
     assert b"--s is required" in res.stderr
 
 
+def _sample_and_lift(tmp_path):
+    cp = tmp_path / "cp.json"
+    sp = tmp_path / "s.json"
+    assert cli_main(["sample", "--d", "2", "--L", "1", "--seed", "9", "--out", str(cp)]) == 0
+    assert cli_main(["lift", "--k", "2", "--seed", "10", "--in", str(cp), "--out", str(sp)]) == 0
+    return cp, sp
+
+
+@pytest.mark.parametrize("kind, s", [("projective-log", "3"), ("green", "5"), ("log", "1.5")])
+def test_energy_refuses_s_where_its_kind_takes_none(tmp_path, capsys, kind, s):
+    # The record echoes s, so it must not carry a value the kind ignored.
+    cp, sp = _sample_and_lift(tmp_path)
+    infile = sp if kind == "log" else cp
+    code = cli_main(["energy", "--kind", kind, "--s", s, "--in", str(infile)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: --s does not apply to --kind {kind}\n"
+
+
+def test_energy_refuses_infinite_riesz_s(tmp_path, capsys):
+    # Refused before the pair sum, not by the JSON encoder after it.
+    _, sp = _sample_and_lift(tmp_path)
+    code = cli_main(["energy", "--kind", "riesz", "--s", "inf", "--in", str(sp)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: s must be positive and finite; got inf\n"
+
+
 def test_energy_green_rejects_d1_file(tmp_path):
     cp = tmp_path / "cp.json"
     run_cli("sample", "--d", "1", "--L", "1", "--seed", "2", "--out", str(cp))

@@ -26,7 +26,6 @@ from pensemble import (
 )
 from pensemble.cli import main as cli_main
 from pensemble.montecarlo import (
-    _BLOCK_PAIRS,
     _aggregate_column,
     _block_values,
     _build_report,
@@ -76,6 +75,7 @@ def test_config_validation():
         dict(energies=(EnergySpec("sphere_riesz", 2.0),), k=0),
         dict(energies=(EnergySpec("sphere_riesz", 1.0),), k=0),
         dict(energies=(EnergySpec("sphere_riesz", -1.0),), k=2),
+        dict(energies=(EnergySpec("sphere_riesz", math.inf),), k=2),
         dict(L=0),
         dict(k=-1),
         dict(trials=2.5),
@@ -83,7 +83,7 @@ def test_config_validation():
     ids=[
         "seed-negative", "seed-2**64", "seed-float", "d-float", "s-at-2d",
         "green-d1", "sphere2-no-lift", "sphere1-no-lift", "sphere-s-negative",
-        "L0", "k-negative", "trials-float",
+        "sphere-s-inf", "L0", "k-negative", "trials-float",
     ],
 )
 def test_config_rejects_bad_plan_at_construction(overrides):
@@ -175,12 +175,14 @@ def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
 
 # sha256 of the report JSON of `run_experiment(workers=1)`, first 32 hex
 # digits: sampling, lift phases, pair passes and aggregation, bit for bit.
-# The projective plan runs blocks of 128 and 72 trials; the lifted one,
-# blocks of 74 and 1 trials, with a sphere Riesz column off s = 2.
+# The first projective plan runs one block of 200 trials; the lifted one,
+# blocks of 74 and 1 trials, with a sphere Riesz column off s = 2; the second
+# projective plan, blocks of 3640 and 1 trials.
 _REPORT_DIGESTS = [
     (2, 1, 0, (), 200, "05ea3abc2b608b8bb3dcd117faec0efd"),
     (1, 20, 2, (EnergySpec("sphere_riesz", 1.5),), _trials_per_block(21) + 1,
      "addc2527ae5734cb1cc80f3d14d88126"),
+    (2, 1, 0, (), _trials_per_block(3) + 1, "7f9b17e078420a1b818ea066d58546b8"),
 ]
 
 
@@ -292,13 +294,23 @@ def test_partial_last_block_is_worker_count_invariant(monkeypatch):
     assert docs[0] == docs[1] == docs[2]
 
 
-def test_small_plan_never_starts_a_pool(monkeypatch):
-    # At r = 3, 3640 trials (29 blocks, 32760 pair entries) stay in-process
-    # at workers=2, and one trial more (32769 entries) starts a pool.
+@pytest.mark.parametrize(
+    "d, L", [(1, 1), (2, 1), (2, 2), (2, 5), (2, 20)],
+    ids=["r=2", "r=3", "r=6", "r=21", "r=231"],
+)
+def test_small_plan_never_starts_a_pool(monkeypatch, d, L):
+    # A plan of one block (at r = 3, 3640 trials, 32760 pair entries) stays
+    # in-process at workers=2, and one trial more starts exactly one pool. At
+    # r = 231 a block holds one trial, fewer than a plan may have, so only
+    # the two-block plan runs.
     starts = counting_pools(monkeypatch)
-    under = _BLOCK_PAIRS // 9
-    for trials, pools in ((under, 0), (under + 1, 1)):
-        config = _config(trials=trials)
+    size = _trials_per_block(KernelParams(d, L).r)
+    for trials, pools in ((size, 0), (size + 1, 1)):
+        if trials < 2:
+            continue
+        config = _config(
+            d=d, L=L, energies=(EnergySpec("projective_riesz", 1.0),), trials=trials
+        )
         assert run_experiment(config, workers=2).trials_retained == trials
         assert len(starts) == pools
 
@@ -335,9 +347,9 @@ def test_default_workers_fall_back_to_cpu_count(monkeypatch):
     assert run_experiment(config).trials_retained == config.trials
 
 
-@pytest.mark.parametrize("r, size", [(3, 128), (21, 74), (120, 2), (231, 1)])
+@pytest.mark.parametrize("r, size", [(2, 8192), (3, 3640), (21, 74), (120, 2), (231, 1)])
 def test_block_size_follows_r(r, size):
-    # Up to 2**15 pair entries per block, 1 to 128 trials.
+    # Up to 2**15 pair entries per block, at least 1 trial.
     assert _trials_per_block(r) == size
 
 
