@@ -274,7 +274,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

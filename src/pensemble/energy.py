@@ -172,8 +172,8 @@ def _sphere_2energies(reps: np.ndarray, phases: np.ndarray, k: int) -> np.ndarra
     with a coincident pair gets +inf, the others their finite energy."""
     r = phases.shape[-1]
     i, j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # fiber pairs i < j
-    # The same arithmetic builds ``SphereConfiguration.points``, so the lifted
-    # points used here match those the pairwise sum sees bit for bit.
+    # The same arithmetic builds `lift._lifted_points`, so the lifted points
+    # used here match those the pairwise sum sees bit for bit.
     fibers0 = _lifted_rows(reps, phases, k, np.arange(r), 0)
     first, second = fibers0[:, i], fibers0[:, j]
     phi = np.angle(np.einsum("...c,...c->...", first.conj(), second))

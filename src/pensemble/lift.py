@@ -41,6 +41,14 @@ def _lifted_rows(representatives, phases, k: int, fibers, steps) -> np.ndarray:
     return np.exp(1j * angles)[..., None] * representatives[..., fibers, :]
 
 
+def _lifted_points(representatives, phases, k: int) -> np.ndarray:
+    """The n = k*r points of one lift, row k*i + j holding y_(i,j), from
+    (r, d+1) unit representatives and r phases."""
+    r = len(phases)
+    pts = _lifted_rows(representatives, phases, k, np.arange(r)[:, None], np.arange(k))
+    return pts.reshape(k * r, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class SphereConfiguration:
     """The lift of r projective points: a fiber of k unit vectors per point.
@@ -68,10 +76,7 @@ class SphereConfiguration:
 
     @cached_property
     def points(self) -> np.ndarray:
-        r = self.representatives.shape[0]
-        pts = _lifted_rows(
-            self.representatives, self.phases, self.k, np.arange(r)[:, None], np.arange(self.k)
-        ).reshape(self.n, -1)
+        pts = _lifted_points(self.representatives, self.phases, self.k)
         pts.setflags(write=False)
         return pts
 
@@ -99,9 +104,5 @@ def realify(config: SphereConfiguration | np.ndarray) -> np.ndarray:
     Accepts a SphereConfiguration or any complex (n, m) array; Euclidean
     norms are preserved row by row.
     """
-    pts = config.points if isinstance(config, SphereConfiguration) else np.asarray(config)
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-    out = np.empty((pts.shape[0], 2 * pts.shape[1]))
-    out[:, 0::2] = pts.real
-    out[:, 1::2] = pts.imag
-    return out
+    pts = config.points if isinstance(config, SphereConfiguration) else config
+    return np.array(np.atleast_2d(pts), dtype=np.complex128, order="C").view(np.float64)

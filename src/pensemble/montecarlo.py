@@ -6,11 +6,14 @@ indices, of at most 2^15 pair entries (trials * r^2, at least one trial), so
 r alone sets their size: a block samples its trials in lockstep, each on its
 own stream and with the bits that trial would get alone, lifts them as one
 stacked (T, r) phase draw, then evaluates their pair energies in one batched
-pass. A plan of one block runs in-process; a process pool maps the blocks of
-a larger plan, and `workers` bounds its size. So results are independent of
-execution order and of the number of worker processes; aggregation is a
-deterministic fold in trial order. Trials whose energies hit a coincident
-pair are discarded and counted, one trial at a time.
+pass. It builds no `SphereConfiguration`: a sphere Riesz column off s = 2
+sums over the lifted points of each trial's unit rows, from the builder
+that `SphereConfiguration.points` uses. A plan of one block runs in-process;
+a process pool maps the blocks of a larger plan, and `workers` bounds its
+size. So results are independent of execution order and of the number of
+worker processes; aggregation is a deterministic fold in trial order. Trials
+whose energies hit a coincident pair are discarded and counted, one trial at
+a time.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .energy import (
     riesz_energy,
 )
 from .geometry import unit_rows
-from .lift import SphereConfiguration, _lift_phases, realify
+from .lift import _lift_phases, _lifted_points, realify
 from .sampler import KernelParams, _check_seed, _lockstep_points, derive_trial_rng
 
 __all__ = [
@@ -219,10 +222,10 @@ def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray
             out[:, col] = _green_combination(config.d, log, riesz.__getitem__, pairs)
         elif spec.s == 2.0:  # sphere_riesz
             out[:, col] = _sphere_2energies(mats, phases, k)
-        else:  # pairwise off s = 2, on the lift `lift_to_sphere` builds, bit for bit
+        else:  # pairwise off s = 2, on the points `SphereConfiguration.points` holds
             out[:, col] = [
-                riesz_energy(realify(SphereConfiguration(p, theta, k)), spec.s)
-                for p, theta in zip(points, phases)
+                riesz_energy(realify(_lifted_points(rows, theta, k)), spec.s)
+                for rows, theta in zip(mats, phases)
             ]
     return out
 

@@ -15,6 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from .lift import _check_k
+from .sampler import KernelParams, _check_d, _check_seed
+
 __all__ = [
     "PointSetFile",
     "SPACE_PROJECTIVE",
@@ -45,7 +48,13 @@ def dumps(obj) -> str:
 
 @dataclass(frozen=True, eq=False)
 class PointSetFile:
-    """On-disk point set: projective representatives ("CP") or sphere points ("S")."""
+    """On-disk point set: projective representatives ("CP") or sphere points ("S").
+
+    The header obeys the package's own parameter rules: an unsigned 64-bit
+    seed, d >= 1, L >= 0 for CP, and for S a k >= 1 that divides the number
+    of points, which come in whole fibers. A CP file may hold any number of
+    points, so hand-written sets reach the energies too.
+    """
 
     space: str
     d: int
@@ -61,9 +70,19 @@ class PointSetFile:
             raise ValueError("CP point sets record the degree L")
         if self.space == SPACE_SPHERE and self.k is None:
             raise ValueError("sphere point sets record the fiber size k")
+        _check_seed(self.seed)
+        if self.space == SPACE_PROJECTIVE:
+            KernelParams(self.d, self.L)  # the sampler's rules for d and L
+        else:
+            _check_d(self.d)
+            _check_k(self.k)
         pts = np.asarray(self.points, dtype=np.complex128)
         if pts.ndim != 2 or pts.shape[1] != self.d + 1:
             raise ValueError(f"points must be (n, d+1) with d={self.d}")
+        if self.space == SPACE_SPHERE and pts.shape[0] % self.k:
+            raise ValueError(
+                f"a sphere point set holds whole fibers of k = {self.k} points; got {pts.shape[0]}"
+            )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -17,7 +17,9 @@ the conditional intensity at x divided by the constant r d!/pi^d. That
 constant and the kernel's phase gauge cancel in the ratio, so no feature
 vectors are needed. G_i^{-1} enters through the lower-triangular inverse
 Cholesky factor W_i (G_i^{-1} = W_i^H W_i), which grows by one row per
-accepted point. The expected acceptance rate at step i is (r-i)/r.
+accepted point. The expected acceptance rate at step i is (r-i)/r. Step 0
+is an ordinary step: with no point selected its residual is exactly 1, so
+its first proposal is accepted, and its uniform is drawn all the same.
 
 `_sample_points` draws one sample from one stream. `_lockstep_points` draws
 a block of samples, one per stream, with the steps of all trials in
@@ -147,13 +149,8 @@ def _sample_points(
     random = rng.random
     points = np.empty((r, d + 1), dtype=np.complex128)
     inv_chol = np.zeros((r, r), dtype=np.complex128)  # W, lower triangular
-    # Step 0 has residual 1, so its first proposal is accepted; its acceptance
-    # draw is still consumed, which keeps the stream of every later step.
-    points[0] = _uniform_unit_vector(d, rng)
-    random()
-    inv_chol[0, 0] = 1.0
-    proposals = [1]
-    for i in range(1, r):
+    proposals = []
+    for i in range(r):
         w, selected = inv_chol[:i, :i], points[:i]
         for tries in range(1, budget + 1):
             cand = _uniform_unit_vector(d, rng)
@@ -189,13 +186,13 @@ def _lockstep_proposals(
     re, im = x[:, 0::2], x[:, 1::2]
     squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     norm = np.sqrt(squares[:, 0, 0])
-    for j in np.flatnonzero(norm <= 1e-150):
-        row, rng = x[j], rngs[pending[j]]
-        while norm[j] <= 1e-150:
-            rng.standard_normal(out=row)
-            norm[j] = math.sqrt(row[0::2].dot(row[0::2]) + row[1::2].dot(row[1::2]))
+    tiny = np.flatnonzero(norm <= 1e-150)
+    norm[tiny] = 1.0  # those rows are redrawn below, so no 0/0 here
+    cand = x.view(np.complex128) / norm[:, None]
+    for j in tiny:
+        cand[j] = _uniform_unit_vector(d, rngs[pending[j]])
     uniform = np.array([rngs[t].random() for t in pending])
-    return x.view(np.complex128) / norm[:, None], uniform
+    return cand, uniform
 
 
 def _lockstep_points(
@@ -216,10 +213,8 @@ def _lockstep_points(
     trials = np.arange(len(rngs))
     points = np.empty((trials.size, r, d + 1), dtype=np.complex128)
     inv_chol = np.zeros((trials.size, r, r), dtype=np.complex128)
-    proposals = np.ones((trials.size, r), dtype=np.int64)
-    points[:, 0], _ = _lockstep_proposals(d, rngs, trials)
-    inv_chol[:, 0, 0] = 1.0
-    for i in range(1, r):
+    proposals = np.empty((trials.size, r), dtype=np.int64)
+    for i in range(r):
         # Views while every trial is pending; the rows of the pending trials
         # are copied out only when some trial accepts, not on every round.
         pending, w, selected = trials, inv_chol[:, :i, :i], points[:, :i]

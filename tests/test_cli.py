@@ -316,6 +316,64 @@ def test_energy_rejects_malformed_header(tmp_path, text, message):
     assert res.stderr.startswith(b"error: ") and message in res.stderr
 
 
+_GOOD_S = {
+    "space": "S", "d": 1, "k": 2, "seed": 1,
+    "points": [[[1.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("lift", {**_GOOD_CP, "L": -3}, "L must be a non-negative integer"),
+        ("lift", {**_GOOD_CP, "seed": -5}, "seed must be an unsigned 64-bit integer"),
+        ("lift", {**_GOOD_CP, "seed": 2**64}, "seed must be an unsigned 64-bit integer"),
+        ("riesz", {**_GOOD_S, "k": 0}, "k must be a positive integer"),
+        ("riesz", {**_GOOD_S, "k": -2}, "k must be a positive integer"),
+        ("riesz", {**_GOOD_S, "k": 5}, "whole fibers of k = 5 points; got 2"),
+        ("log", {**_GOOD_S, "k": 0}, "k must be a positive integer"),
+        ("log", {**_GOOD_S, "k": -2}, "k must be a positive integer"),
+        ("log", {**_GOOD_S, "k": 5}, "whole fibers of k = 5 points; got 2"),
+        ("riesz", {**_GOOD_S, "d": 0, "points": [[[1.0, 0.0]], [[-1.0, 0.0]]]},
+         "d must be a positive integer"),
+    ],
+    ids=[
+        "lift-L-negative", "lift-seed-negative", "lift-seed-2^64",
+        "riesz-k-0", "riesz-k-negative", "riesz-k-5-over-2",
+        "log-k-0", "log-k-negative", "log-k-5-over-2", "riesz-d-0",
+    ],
+)
+def test_pointset_header_obeys_the_parameter_rules(tmp_path, capsys, command, doc, message):
+    # A header is held to the rules its CLI flags pass through.
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    if command == "lift":
+        argv = ["lift", "--k", "2", "--seed", "3", "--in", str(path), "--out", str(out)]
+    else:
+        argv = ["energy", "--kind", command, *(["--s", "2"] if command == "riesz" else [])]
+        argv += ["--in", str(path)]
+    code = cli_main(argv)
+    stdout, err = capsys.readouterr()
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and message in err
+
+
+_HUGE = str(10**320)  # beyond double range
+
+
+@pytest.mark.parametrize("command", [
+    ["expected", "--which", "projective", "--d", "2", "--L", _HUGE, "--s", "1"],
+    ["constants", "--d", _HUGE],
+    ["validate", "--d", "2", "--L", _HUGE, "--trials", "2", "--seed", "1"],
+], ids=["expected", "constants", "validate"])
+def test_parameter_beyond_double_range_exits_2(capsys, command):
+    # validate exits 1 for a |z| past --z-max, so an overflow must not read as that.
+    assert cli_main(command) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: int too large to convert to float\n"
+
+
 def test_validate_exit_codes_and_determinism():
     args = (
         "validate", "--d", "2", "--L", "1", "--trials", "40",

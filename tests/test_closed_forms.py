@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,18 @@ def test_digamma_values_and_recurrence():
     assert digamma(2.0) - digamma(1.0) == pytest.approx(1.0, rel=1e-12)
     for x in (0.3, 1.7, 6.5):
         assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, rel=1e-11)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # Only the closed forms and the Euclidean energies use scipy, so a
+    # process that samples or lifts never pays for importing it.
+    code = (
+        "import sys, pensemble; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_special_functions_reject_nonpositive():

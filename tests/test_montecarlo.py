@@ -12,6 +12,7 @@ from pensemble import (
     EnergySpec,
     ExperimentConfig,
     KernelParams,
+    SphereConfiguration,
     bound_constants,
     default_energy_specs,
     derive_trial_rng,
@@ -137,16 +138,19 @@ def test_trial_values_match_public_energies(d, L, k):
             assert value == pytest.approx(expected, rel=1e-12), spec.label()
 
 
-def _no_configuration(*args, **kwargs):
+def _no_configuration(self):
     raise AssertionError("a SphereConfiguration was built")
 
 
-def test_lifted_block_builds_no_sphere_configuration_at_s2(monkeypatch):
-    # The 2-energy reads the block's stacked unit rows and (T, r) phases, so
-    # no trial is wrapped in a configuration only to be unpacked again.
-    monkeypatch.setattr("pensemble.lift.SphereConfiguration", _no_configuration)
-    monkeypatch.setattr("pensemble.montecarlo.SphereConfiguration", _no_configuration)
-    config = _config(L=2, k=128, energies=default_energy_specs(2, 128))
+@pytest.mark.parametrize("s", [2.0, 1.5])
+def test_lifted_block_builds_no_sphere_configuration_at_any_s(monkeypatch, s):
+    # The 2-energy reads the block's stacked unit rows and (T, r) phases, and
+    # the pairwise column lifts each trial's unit rows directly, so no trial
+    # is wrapped in a configuration only to be unpacked again. Patching the
+    # constructor catches a build under any imported name.
+    monkeypatch.setattr(SphereConfiguration, "__post_init__", _no_configuration)
+    energies = default_energy_specs(2, 128) + (EnergySpec("sphere_riesz", s),)
+    config = _config(L=2, k=128, energies=energies)
     assert np.all(np.isfinite(_block_values(config, 0, 4)))
 
 
@@ -177,12 +181,14 @@ def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
 # digits: sampling, lift phases, pair passes and aggregation, bit for bit.
 # The first projective plan runs one block of 200 trials; the lifted one,
 # blocks of 74 and 1 trials, with a sphere Riesz column off s = 2; the second
-# projective plan, blocks of 3640 and 1 trials.
+# projective plan, blocks of 3640 and 1 trials; the last, one block with a
+# sphere Riesz column off s = 2 at 8 coordinates per row.
 _REPORT_DIGESTS = [
     (2, 1, 0, (), 200, "05ea3abc2b608b8bb3dcd117faec0efd"),
     (1, 20, 2, (EnergySpec("sphere_riesz", 1.5),), _trials_per_block(21) + 1,
      "addc2527ae5734cb1cc80f3d14d88126"),
     (2, 1, 0, (), _trials_per_block(3) + 1, "7f9b17e078420a1b818ea066d58546b8"),
+    (7, 1, 3, (EnergySpec("sphere_riesz", 1.5),), 60, "0fa3fc464357e75c70483551d5faca6f"),
 ]
 
 

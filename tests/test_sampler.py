@@ -206,6 +206,7 @@ def test_kernel_chain_rule_matches_feature_space_reference(d, L):
 # these; a change to the rng stream must re-derive them and say so.
 _STREAM_DIGESTS = [
     (1, 3, 12, "5fb040ab0d10b3a1d18d67a16ca5bf4a"),
+    (2, 0, 40, "bd0a4bb0dab62578252df56db3a34b5c"),  # r = 1: the whole sample is step 0
     (2, 1, 40, "9e64c8939e904d11300bdf2b699b0ede"),
     (2, 5, 8, "1520aa42b005d8c99d7bd51e5258a9da"),
     (5, 4, 3, "c9e7412e9f9fbaddf61e280d273236e9"),
@@ -222,9 +223,11 @@ def test_seeded_samples_match_committed_digest(d, L, count, digest):
     assert h.hexdigest()[:32] == digest
 
 
-# (d, L) with r from 2 to 126: d = 1, large d at L = 1, and large L at d = 1.
+# (d, L) with r from 1 to 126: one point at L = 0, d = 1, large d at L = 1, and
+# large L at d = 1.
 _LOCKSTEP_GRID = [
-    (1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (2, 5), (20, 1), (1, 40), (10, 2), (2, 14), (5, 4),
+    (2, 0), (1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (2, 5), (20, 1), (1, 40), (10, 2), (2, 14),
+    (5, 4),
 ]
 
 
@@ -268,6 +271,7 @@ class _ZeroFirstNormal:
         return self._rng.random()
 
 
+@pytest.mark.filterwarnings("error")  # the zero row must not be divided by its norm
 def test_lockstep_redraws_a_zero_proposal_before_its_uniform():
     params = KernelParams(2, 2)
     fake, ref = _ZeroFirstNormal(8), _ZeroFirstNormal(8)
