@@ -3,13 +3,15 @@
 Each trial owns an rng derived from (master_seed, trial_index) and draws its
 sample and lift phases from it alone. Trials run in blocks of consecutive
 indices, of at most 2^15 pair entries (trials * r^2, at least one trial), so
-r alone sets their size: a block samples its trials in lockstep, each on its
-own stream and with the bits that trial would get alone, lifts them as one
-stacked (T, r) phase draw, then evaluates their pair energies in one batched
-pass. It builds no `SphereConfiguration`: a sphere Riesz column off s = 2
-sums over the lifted points of each trial's unit rows, from the builder
-that `SphereConfiguration.points` uses. A plan of one block runs in-process;
-a process pool maps the blocks of a larger plan, and `workers` bounds its
+r alone sets their size: a block derives the streams of its trials in one
+vectorised seed hash (each the stream `derive_trial_rng` gives that trial),
+samples its trials in lockstep, each on its own stream and with the bits that
+trial would get alone, lifts them as one stacked (T, r) phase draw, then
+evaluates their pair energies in one batched pass. It builds no
+`SphereConfiguration`: a sphere Riesz column off s = 2 sums over the lifted
+points of each trial's unit rows, from the builder that
+`SphereConfiguration.points` uses. A plan of one block runs in-process; a
+process pool maps the blocks of a larger plan, and `workers` bounds its
 size. So results are independent of execution order and of the number of
 worker processes; aggregation is a deterministic fold in trial order. Trials
 whose energies hit a coincident pair are discarded and counted, one trial at
@@ -44,7 +46,7 @@ from .energy import (
 )
 from .geometry import unit_rows
 from .lift import _lift_phases, _lifted_points, realify
-from .sampler import KernelParams, _check_seed, _lockstep_points, derive_trial_rng
+from .sampler import KernelParams, _check_seed, _lockstep_points, _trial_rngs
 
 __all__ = [
     "EnergySpec",
@@ -200,7 +202,7 @@ def _block_values(config: ExperimentConfig, start: int, stop: int) -> np.ndarray
     batched lifted 2-energy pass.
     """
     params, k = config.params, config.k
-    rngs = [derive_trial_rng(config.master_seed, t) for t in range(start, stop)]
+    rngs = _trial_rngs(config.master_seed, start, stop)
     points, _ = _lockstep_points(params, rngs)
     mats = unit_rows(points.reshape(-1, params.d + 1)).reshape(points.shape)
     if k >= 1:

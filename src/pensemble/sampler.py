@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import COINCIDENT_OVERLAP
 
@@ -264,14 +265,125 @@ def sample_projective_ensemble(config: SamplerConfig) -> ProjectiveSample:
     )
 
 
+def _check_trial_index(index: int, name: str = "trial_index") -> None:
+    """The trial index rule, the seed's: an int in [0, 2^64)."""
+    if not isinstance(index, int) or not 0 <= index < _MAX_SEED:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer")
+
+
+# numpy's SeedSequence hash at pool size 4 (numpy/random/bit_generator.pyx).
+# Its multipliers advance in a sequence that does not depend on the data:
+# hashmix call j xors with _HASH_A[j] and multiplies by _HASH_A[j + 1], and
+# output word j of generate_state likewise with _HASH_B.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# 16 calls mix the 4 master words; each of an index's 1 or 2 words takes 4.
+# Rows are the index's low and high word, and generate_state's two passes
+# over the pool.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 25)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_INDEX_XOR = np.array(_HASH_A[16:24], dtype=np.uint32).reshape(2, 4)
+_INDEX_MULT = np.array(_HASH_A[17:25], dtype=np.uint32).reshape(2, 4)
+_STATE_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
+_STATE_MULT = np.array(_HASH_B[1:9], dtype=np.uint32).reshape(2, 4)
+
+
+@lru_cache(maxsize=16)
+def _master_pool(master_seed: int) -> np.ndarray:
+    """SeedSequence's pool after its 4 master words (zero-padded), read-only."""
+
+    def hashmix(value: int, j: int) -> int:
+        value = (value ^ _HASH_A[j]) * _HASH_A[j + 1] & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(master_seed >> 32 * j & _MASK32, j) for j in range(4)]
+    j = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], j)) & _MASK32
+                pool[dst] = value ^ value >> 16
+                j += 1
+    out = np.array(pool, dtype=np.uint32)
+    out.setflags(write=False)
+    return out
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed words into pools, on uint32 arrays (array
+    products wrap silently where numpy scalars warn)."""
+    mixed = _MIX_L * pool - _MIX_R * hashed
+    mixed ^= mixed >> 16
+    return mixed
+
+
+class _SeedWords(ISeedSequence):
+    """The PCG64 seed words of one trial stream, precomputed.
+
+    Serves `generate_state(4, np.uint64)`, the one request `PCG64` makes, with
+    the words `SeedSequence(entropy=master_seed, spawn_key=(trial_index,))`
+    would give. It does not implement `spawn`.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("a trial stream's seed words serve PCG64 only")
+        return self.words
+
+
+def _trial_rngs(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """The streams of trials start..stop-1, one SeedSequence hash for all.
+
+    The master seed's part of the hash depends on no index, so it runs once
+    (and is cached). Every other stage is one array operation over the block:
+    the indices' low words are mixed into (T, 4) pools, their high words too
+    where an index is >= 2^32, and the pools are hashed into (T, 4) PCG64
+    seed words. Row t is the generator that
+    `np.random.default_rng(SeedSequence(entropy=master_seed,
+    spawn_key=(start + t,)))` builds, bit for bit.
+    """
+    _check_seed(master_seed)
+    _check_trial_index(start, "start")
+    if not isinstance(stop, int) or not start <= stop <= _MAX_SEED:
+        raise ValueError("stop must be an integer in [start, 2^64]")
+    index = np.arange(stop - start, dtype="<u8")
+    index += start
+    words = index.view("<u4").reshape(-1, 2, 1)  # low and high word of each index
+    hashed = (words ^ _INDEX_XOR) * _INDEX_MULT
+    hashed ^= hashed >> 16
+    pool = _mix(_master_pool(master_seed), hashed[:, 0])
+    two_words = words[:, 1, 0] > 0  # an index >= 2^32 enters the hash as two words
+    if two_words.any():
+        pool = np.where(two_words[:, None], _mix(pool, hashed[:, 1]), pool)
+    state = (pool[:, None] ^ _STATE_XOR) * _STATE_MULT
+    state ^= state >> 16
+    # Little-endian pairs of words, as SeedSequence.generate_state forms them.
+    seeds = state.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
+    seeds = seeds.astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
+
+
 def derive_trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent per-trial stream via counter-keyed seed derivation.
 
     The (master_seed, trial_index) pair fully determines the stream, so
     trials can run in any order, or concurrently, with identical results.
+    The stream is numpy's `default_rng(SeedSequence(entropy=master_seed,
+    spawn_key=(trial_index,)))`, bit for bit; it is row 0 of `_trial_rngs`.
+    Its `bit_generator.seed_seq` holds only the seed words, so it cannot
+    `spawn`. Both arguments are ints in [0, 2^64).
     """
-    _check_seed(master_seed)
-    if trial_index < 0:
-        raise ValueError("trial_index must be non-negative")
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
-    return np.random.default_rng(ss)
+    _check_trial_index(trial_index)
+    return _trial_rngs(master_seed, trial_index, trial_index + 1)[0]

@@ -192,14 +192,25 @@ _REPORT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("d, L, k, extra, trials, digest", _REPORT_DIGESTS)
-def test_seeded_reports_match_committed_digest(d, L, k, extra, trials, digest):
+def _report_digest(d, L, k, extra, trials, master_seed):
     config = ExperimentConfig(
         d=d, L=L, k=k, energies=default_energy_specs(d, k) + extra,
-        trials=trials, master_seed=20261021,
+        trials=trials, master_seed=master_seed,
     )
     doc = dumps(run_experiment(config, workers=1).to_dict())
-    assert hashlib.sha256(doc.encode()).hexdigest()[:32] == digest
+    return hashlib.sha256(doc.encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("d, L, k, extra, trials, digest", _REPORT_DIGESTS)
+def test_seeded_reports_match_committed_digest(d, L, k, extra, trials, digest):
+    assert _report_digest(d, L, k, extra, trials, 20261021) == digest
+
+
+def test_two_word_master_seed_report_matches_committed_digest():
+    # Master seed 2^64 - 1 enters the seed hash as two 32-bit words, and the
+    # second block, of 1 trial, derives its stream from index 3640.
+    digest = _report_digest(2, 1, 0, (), _trials_per_block(3) + 1, 2**64 - 1)
+    assert digest == "c82b7d738eebdd7d0c9a470269205037"
 
 
 # ---------------------------------------------------------------- aggregation

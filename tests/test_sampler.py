@@ -21,6 +21,7 @@ from pensemble.sampler import (
     _assert_no_coincidence,
     _lockstep_points,
     _sample_points,
+    _trial_rngs,
     _uniform_unit_vector,
 )
 
@@ -160,6 +161,21 @@ def test_acceptance_rate_tracks_residual_trace():
     rates = runs / proposals
     expected = (params.r - np.arange(params.r)) / params.r
     assert np.all(np.abs(rates - expected) <= 0.05 * expected)
+
+
+@pytest.mark.parametrize("d, L, seed", [(2, 1, 61), (2, 3, 62), (1, 6, 63)])
+def test_total_proposals_per_sample_follow_the_geometric_law(d, L, seed):
+    # Given any history, the expected residual at step i is exactly (r-i)/r,
+    # so step i takes Geometric((r-i)/r) proposals. A sample's total then has
+    # mean sum r/(r-i) and variance sum i r/(r-i)^2. Accepting on
+    # residual^0.8 or residual^1.2 instead gave |z| of 9.7 to 29.8 here.
+    params = KernelParams(d, L)
+    r, samples = params.r, 2000
+    _, proposals = _lockstep_points(params, _trial_rngs(seed, 0, samples))
+    i = np.arange(r)
+    mean, var = np.sum(r / (r - i)), np.sum(i * r / (r - i) ** 2)
+    z = (proposals.sum(axis=1).mean() - mean) / math.sqrt(var / samples)
+    assert abs(z) <= 4.0
 
 
 def test_larger_rank_sample_completes_with_distinct_points():
@@ -326,6 +342,62 @@ def test_derive_trial_rng_streams_differ():
     a = derive_trial_rng(7, 0).random(64)
     b = derive_trial_rng(7, 1).random(64)
     assert not np.array_equal(a, b)
+
+
+def _numpy_stream(master_seed, index):
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+    )
+
+
+# One- and two-word master seeds at both ends of each width, and a few others.
+_MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 3141592653, 0x9E3779B97F4A7C15,
+                 0x0123456789ABCDEF]
+# From 0; across 2^32, where an index turns into two hash words; up to 2^64 - 1.
+_INDEX_RANGES = [(0, 40), (2**32 - 3, 2**32 + 3), (2**64 - 4, 2**64)]
+
+
+@pytest.mark.parametrize("master_seed", _MASTER_SEEDS)
+@pytest.mark.parametrize("start, stop", _INDEX_RANGES)
+def test_trial_streams_are_numpys_seed_sequence_streams(master_seed, start, stop):
+    rngs = _trial_rngs(master_seed, start, stop)
+    assert len(rngs) == stop - start
+    for index, rng in zip(range(start, stop), rngs):
+        ref, single = _numpy_stream(master_seed, index), derive_trial_rng(master_seed, index)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert single.bit_generator.state == ref.bit_generator.state
+        first = ref.random()
+        assert rng.random() == first and single.random() == first
+
+
+@pytest.mark.parametrize("index", ["3", 1.0, 2**70, 2**64, -1])
+def test_trial_index_must_be_an_unsigned_64_bit_int(index):
+    with pytest.raises(ValueError, match="trial_index"):
+        derive_trial_rng(7, index)
+
+
+@pytest.mark.parametrize(
+    "start, stop, name",
+    [(-1, 3, "start"), ("0", 3, "start"), (2**64, 2**64, "start"), (5, 4, "stop"),
+     (0, 3.0, "stop"), (0, 2**64 + 1, "stop")],
+)
+def test_trial_rngs_checks_its_index_range(start, stop, name):
+    with pytest.raises(ValueError, match=name):
+        _trial_rngs(7, start, stop)
+
+
+def test_trial_rngs_of_an_empty_range():
+    assert _trial_rngs(7, 5, 5) == []
+
+
+def test_trial_stream_seed_words_serve_pcg64_only():
+    # A stream's seed_seq holds its 4 PCG64 seed words: it neither spawns nor
+    # hands them out as any other request.
+    rng = derive_trial_rng(7, 3)
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.generate_state(8)
 
 
 def test_trials_independent_of_execution_order():
