@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -286,7 +286,8 @@ def _hash_constants(init: int, mult: int, count: int) -> list[int]:
     return out
 
 
-# 16 calls mix the 4 master words; each of an index's 1 or 2 words takes 4.
+# The first 16 calls mix the 4 master words (numpy's own SeedSequence makes
+# them); each of an index's 1 or 2 words takes 4 more.
 # Rows are the index's low and high word, and generate_state's two passes
 # over the pool.
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 25)
@@ -295,27 +296,6 @@ _INDEX_XOR = np.array(_HASH_A[16:24], dtype=np.uint32).reshape(2, 4)
 _INDEX_MULT = np.array(_HASH_A[17:25], dtype=np.uint32).reshape(2, 4)
 _STATE_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
 _STATE_MULT = np.array(_HASH_B[1:9], dtype=np.uint32).reshape(2, 4)
-
-
-@lru_cache(maxsize=16)
-def _master_pool(master_seed: int) -> np.ndarray:
-    """SeedSequence's pool after its 4 master words (zero-padded), read-only."""
-
-    def hashmix(value: int, j: int) -> int:
-        value = (value ^ _HASH_A[j]) * _HASH_A[j + 1] & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(master_seed >> 32 * j & _MASK32, j) for j in range(4)]
-    j = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], j)) & _MASK32
-                pool[dst] = value ^ value >> 16
-                j += 1
-    out = np.array(pool, dtype=np.uint32)
-    out.setflags(write=False)
-    return out
 
 
 def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
@@ -346,11 +326,13 @@ class _SeedWords(ISeedSequence):
 def _trial_rngs(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
     """The streams of trials start..stop-1, one SeedSequence hash for all.
 
-    The master seed's part of the hash depends on no index, so it runs once
-    (and is cached). Every other stage is one array operation over the block:
-    the indices' low words are mixed into (T, 4) pools, their high words too
-    where an index is >= 2^32, and the pools are hashed into (T, 4) PCG64
-    seed words. Row t is the generator that
+    The master seed's part of the hash depends on no index, so it runs once:
+    it is the pool of `SeedSequence(master_seed)`, whose missing words hash
+    as zeros, as the zero-padded master words of a keyed sequence do. Every
+    other stage is one array operation over the block: the indices' low words
+    are mixed into (T, 4) pools, their high words too (under a mask) where an
+    index is >= 2^32, and the pools are hashed into (T, 4) PCG64 seed words.
+    Row t is the generator that
     `np.random.default_rng(SeedSequence(entropy=master_seed,
     spawn_key=(start + t,)))` builds, bit for bit.
     """
@@ -363,10 +345,9 @@ def _trial_rngs(master_seed: int, start: int, stop: int) -> list[np.random.Gener
     words = index.view("<u4").reshape(-1, 2, 1)  # low and high word of each index
     hashed = (words ^ _INDEX_XOR) * _INDEX_MULT
     hashed ^= hashed >> 16
-    pool = _mix(_master_pool(master_seed), hashed[:, 0])
-    two_words = words[:, 1, 0] > 0  # an index >= 2^32 enters the hash as two words
-    if two_words.any():
-        pool = np.where(two_words[:, None], _mix(pool, hashed[:, 1]), pool)
+    pool = _mix(np.random.SeedSequence(master_seed).pool, hashed[:, 0])
+    two_words = words[:, 1] > 0  # an index >= 2^32 enters the hash as two words
+    pool = np.where(two_words, _mix(pool, hashed[:, 1]), pool)
     state = (pool[:, None] ^ _STATE_XOR) * _STATE_MULT
     state ^= state >> 16
     # Little-endian pairs of words, as SeedSequence.generate_state forms them.
