@@ -3,7 +3,11 @@ their sin-distance analogues on CP^d, and the zero-mean Green energy on CP^d.
 
 All energies sum over ordered pairs (every unordered pair counts twice). A
 pair at distance below the coincidence floor makes the energy +inf; callers
-that average over random configurations can discard such draws.
+that average over random configurations can discard such draws. The
+Euclidean energies visit each unordered pair once, form every term from the
+squared distance, and double the sum. The projective ones take both orders
+of each pair in one batched pass over each sin-distance matrix, since
+|<p, q>| and |<q, p>| may differ in the last bit.
 
 Euclidean energies take (n, dim) real arrays. The projective energies take
 (n, d+1) complex arrays of representatives, one row per point; rows are
@@ -37,6 +41,7 @@ __all__ = [
 # Distances (Euclidean or sin of projective distance) below this count as a
 # coincident pair: rounding noise, not geometry.
 COINCIDENCE_FLOOR = 1e-15
+_COINCIDENT_SQUARE = COINCIDENCE_FLOOR**2
 
 _BLOCK_ROWS = 1024
 
@@ -49,6 +54,8 @@ def _blocked_pair_sums(
 ) -> np.ndarray:
     """Sum each summand(distance) over ordered pairs i != j of each of
     ``count`` configurations of n points; returns a (count, len(summands)) array.
+    It serves the projective energies; the Euclidean ones take half the
+    pairs in :func:`_euclidean_pair_sum`.
 
     ``distance_block(a, b)`` gives the (count, b - a, n) distances from rows
     a..b-1 of every configuration to all its rows; past _BLOCK_ROWS points
@@ -98,26 +105,43 @@ def _check_riesz_s(s: float) -> None:
 
 
 def _euclidean_pair_sum(points, term) -> float:
-    """Sum of term(|x_i - x_j|) over ordered pairs of Euclidean points."""
+    """Sum of term(|x_i - x_j|^2) over ordered pairs of Euclidean points.
+
+    Each unordered pair i < j is visited once. Each block of _BLOCK_ROWS rows
+    takes the squared distances within itself (``pdist``) and to every later
+    row (``cdist``); a square below COINCIDENCE_FLOOR^2 returns +inf before
+    any term is formed, so no zero reaches ``term``. The sum of each part is
+    rounded once by numpy, ``math.fsum`` adds the parts exactly, and the
+    doubling to ordered pairs is exact.
+    """
     # Imported here: scipy.spatial adds about 12 MB to every process that
     # imports pensemble, and only the Euclidean energies use it.
-    from scipy.spatial.distance import cdist
+    from scipy.spatial.distance import cdist, pdist
 
     pts = _as_point_matrix(points)
-    return float(_blocked_pair_sums(
-        1, pts.shape[0], lambda a, b: cdist(pts[a:b], pts)[None], [term]
-    )[0, 0])
+    n = pts.shape[0]
+    partials = []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = pts[start:stop]
+        for sq in (pdist(block, "sqeuclidean"), cdist(block, pts[stop:], "sqeuclidean")):
+            if (sq < _COINCIDENT_SQUARE).any():
+                return math.inf
+            partials.append(term(sq).sum())
+    return 2.0 * math.fsum(partials)
 
 
 def riesz_energy(points, s: float) -> float:
-    """Sum of 1/|x_i - x_j|^s over ordered pairs of Euclidean points."""
+    """Sum of 1/|x_i - x_j|^s over ordered pairs of Euclidean points, each
+    term formed as |x_i - x_j|^2 raised to -s/2; +inf on a coincident pair."""
     _check_riesz_s(s)
-    return _euclidean_pair_sum(points, lambda dm: dm ** (-s))
+    return _euclidean_pair_sum(points, lambda sq: sq ** (-0.5 * s))
 
 
 def log_energy(points) -> float:
-    """Sum of log(1/|x_i - x_j|) over ordered pairs of Euclidean points."""
-    return _euclidean_pair_sum(points, lambda dm: -np.log(dm))
+    """Sum of log(1/|x_i - x_j|) over ordered pairs of Euclidean points, each
+    term formed as -log(|x_i - x_j|^2)/2; +inf on a coincident pair."""
+    return _euclidean_pair_sum(points, lambda sq: -0.5 * np.log(sq))
 
 
 def _fiber_2energy(k: int) -> float:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from pensemble import lift_to_sphere, realify, sphere_2energy
 from pensemble.cli import main as cli_main
 from pensemble.pointset import read_pointset
 
@@ -174,11 +175,21 @@ def test_energy_command_kinds(tmp_path):
     doc = json.loads(run_cli("energy", "--kind", "green", "--in", str(cp)).stdout)
     assert doc["kind"] == "green" and doc["s"] == 0.0
 
+    # The lifted file's 2-energy is the fiber-pair closed form of the same
+    # lift, rebuilt from the file's seed; its log energy is a brute sum over
+    # the file's ordered pairs.
+    config = lift_to_sphere(read_pointset(cp).points, 2, np.random.default_rng(np.random.SeedSequence(10)))
     doc = json.loads(run_cli("energy", "--kind", "riesz", "--s", "2", "--in", str(sp)).stdout)
-    assert doc["n_points"] == 6 and doc["value"] > 0
+    assert doc["n_points"] == 6
+    assert doc["value"] == pytest.approx(sphere_2energy(config), rel=1e-12)
 
+    lifted = realify(read_pointset(sp).points)
+    brute_log = math.fsum(
+        -math.log(math.dist(p, q)) for i, p in enumerate(lifted) for j, q in enumerate(lifted) if i != j
+    )
     doc = json.loads(run_cli("energy", "--kind", "log", "--in", str(sp)).stdout)
     assert doc["kind"] == "log"
+    assert doc["value"] == pytest.approx(brute_log, rel=1e-12)
 
 
 def test_energy_riesz_requires_s(tmp_path):

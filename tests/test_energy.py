@@ -110,6 +110,17 @@ def test_riesz_and_log_match_brute_force_double_loop():
     assert log_energy(pts) == pytest.approx(brute_log, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_euclidean_coincident_pair_is_infinite_without_warnings():
+    # A zero squared distance returns +inf before any power or log is taken,
+    # so no divide-by-zero RuntimeWarning is raised.
+    pts = np.random.default_rng(22).standard_normal((6, 4))
+    pts[4] = pts[1]
+    for s in (0.5, 2.0, 3.0):
+        assert riesz_energy(pts, s) == math.inf
+    assert log_energy(pts) == math.inf
+
+
 def test_energies_permutation_invariant():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((7, 3))
@@ -264,7 +275,10 @@ def test_stacked_pair_sums_match_each_configuration():
 def test_pair_sums_past_three_row_blocks_match_one_unblocked_sum():
     # Three row blocks, the last one partial: each blocked sum agrees with a
     # math.fsum of all n(n-1) terms, and a coincident pair whose rows both
-    # lie in the last block makes every sum of the set +inf.
+    # lie in the last block makes every sum of the set +inf. So does a
+    # Euclidean pair closer than the coincidence floor with one row in the
+    # first block and one in the last, which only the first block's pairs
+    # with later rows reach. A pair's energy is exactly swap symmetric.
     n = 2 * _BLOCK_ROWS + 52
     rng = np.random.default_rng(19)
     real = rng.standard_normal((n, 3))
@@ -287,6 +301,15 @@ def test_pair_sums_past_three_row_blocks_match_one_unblocked_sum():
     assert log_energy(real) == math.inf
     riesz, log = projective_pair_sums(mat, [1.0, 3.0])
     assert list(riesz.values()) == [math.inf, math.inf] and log == math.inf
+
+    real = rng.standard_normal((n, 3))
+    real[n - 1] = real[3]
+    real[n - 1, 0] = np.nextafter(real[3, 0], math.inf)  # one ulp apart, not equal
+    assert riesz_energy(real, 1.5) == math.inf
+    assert log_energy(real) == math.inf
+    p, q = real[0], real[n - 2]
+    assert riesz_energy(np.stack([p, q]), 1.5) == riesz_energy(np.stack([q, p]), 1.5)
+    assert log_energy(np.stack([p, q])) == log_energy(np.stack([q, p]))
 
 
 def test_projective_pair_sums_reject_s_outside_range():

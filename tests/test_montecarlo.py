@@ -186,9 +186,9 @@ def test_block_with_a_coincident_trial_discards_only_that_trial(monkeypatch):
 _REPORT_DIGESTS = [
     (2, 1, 0, (), 200, "05ea3abc2b608b8bb3dcd117faec0efd"),
     (1, 20, 2, (EnergySpec("sphere_riesz", 1.5),), _trials_per_block(21) + 1,
-     "addc2527ae5734cb1cc80f3d14d88126"),
+     "2fb64b02df2e1c53e7ca43d798ab98eb"),
     (2, 1, 0, (), _trials_per_block(3) + 1, "7f9b17e078420a1b818ea066d58546b8"),
-    (7, 1, 3, (EnergySpec("sphere_riesz", 1.5),), 60, "0fa3fc464357e75c70483551d5faca6f"),
+    (7, 1, 3, (EnergySpec("sphere_riesz", 1.5),), 60, "f68f5e9951d977ed6a346b42428e6869"),
 ]
 
 
