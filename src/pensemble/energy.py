@@ -46,47 +46,6 @@ _COINCIDENT_SQUARE = COINCIDENCE_FLOOR**2
 _BLOCK_ROWS = 1024
 
 
-def _blocked_pair_sums(
-    count: int,
-    n: int,
-    distance_block: Callable[[int, int], np.ndarray],
-    summands: list[Callable[[np.ndarray], np.ndarray]],
-) -> np.ndarray:
-    """Sum each summand(distance) over ordered pairs i != j of each of
-    ``count`` configurations of n points; returns a (count, len(summands)) array.
-    It serves the projective energies; the Euclidean ones take half the
-    pairs in :func:`_euclidean_pair_sum`.
-
-    ``distance_block(a, b)`` gives the (count, b - a, n) distances from rows
-    a..b-1 of every configuration to all its rows; past _BLOCK_ROWS points
-    the rows come in blocks. Every block of distances is formed and checked
-    for coincidence once, then shared by all summands; one coincident pair
-    makes every sum of its own configuration +inf. Each block's terms are
-    summed by numpy, rounded once per block; ``math.fsum`` then adds those
-    partial sums exactly and rounds once. So no rounding error accumulates
-    across blocks, which keeps the n^2 mixed-magnitude terms past ~1e4
-    points accurate, but a different block schedule may still change the
-    last bits.
-    """
-    partials: list[list[np.ndarray]] = [[] for _ in summands]
-    coincident = np.zeros(count, dtype=bool)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        dists = distance_block(start, stop)
-        rows = np.arange(stop - start)
-        dists[:, rows, start + rows] = 1.0  # neutral placeholder on the diagonal
-        hit = (dists < COINCIDENCE_FLOOR).any(axis=(1, 2))
-        dists[hit] = 1.0  # neutral too: those sums are set to +inf below
-        coincident |= hit
-        for summand, acc in zip(summands, partials):
-            vals = summand(dists)
-            vals[:, rows, start + rows] = 0.0
-            acc.append(vals.reshape(count, -1).sum(axis=1))
-    sums = np.array([[math.fsum(terms) for terms in zip(*acc)] for acc in partials]).T
-    sums[coincident] = math.inf
-    return sums
-
-
 def _as_point_matrix(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -257,17 +216,39 @@ def projective_pair_sums(points, s_values) -> tuple[dict[float, float], float]:
 def _unit_pair_sums(mats: np.ndarray, s_values) -> tuple[dict[float, np.ndarray], np.ndarray]:
     """:func:`projective_pair_sums` of each configuration in a (T, n, d+1)
     stack of unit rows, as (T,) arrays; a coincident pair makes only its own
-    configuration's sums +inf."""
-    d = mats.shape[-1] - 1
+    configuration's sums +inf.
+
+    Past _BLOCK_ROWS points the rows come in blocks. Every block of
+    sin-distances to all rows is formed and checked for coincidence once,
+    then shared by all the sums. Each block's terms are summed by numpy,
+    rounded once per block; ``math.fsum`` then adds those partial sums
+    exactly and rounds once. So no rounding error accumulates across blocks,
+    which keeps the n^2 mixed-magnitude terms past ~1e4 points accurate, but
+    a different block schedule may still change the last bits.
+    """
+    count, n, d = mats.shape[0], mats.shape[1], mats.shape[2] - 1
     s_values = list(dict.fromkeys(float(s) for s in s_values))
     for s in s_values:
         _check_projective_s(s, d)
-    summands = [lambda dm, s=s: dm ** (-s) for s in s_values]
-    summands.append(lambda dm: -np.log(dm))
-    sums = _blocked_pair_sums(
-        *mats.shape[:2], lambda a, b: _sin_distance_block(mats, a, b), summands
-    )
-    *riesz, log = sums.T
+    partials: list[list[np.ndarray]] = [[] for _ in range(len(s_values) + 1)]
+    coincident = np.zeros(count, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        sin = _sin_distance_block(mats, start, stop)
+        rows = np.arange(stop - start)
+        sin[:, rows, start + rows] = 1.0  # neutral placeholder on the diagonal
+        hit = (sin < COINCIDENCE_FLOOR).any(axis=(1, 2))
+        sin[hit] = 1.0  # neutral too: those sums are set to +inf below
+        coincident |= hit
+        # One term array at a time; s = 0 stands for the log sum, the
+        # derivative of sin^(-s) at s = 0.
+        for s, acc in zip([*s_values, 0.0], partials):
+            terms = sin ** -s if s else -np.log(sin)
+            terms[:, rows, start + rows] = 0.0
+            acc.append(terms.reshape(count, -1).sum(axis=1))
+    sums = np.array([[math.fsum(terms) for terms in zip(*acc)] for acc in partials])
+    sums[:, coincident] = math.inf
+    *riesz, log = sums
     return dict(zip(s_values, riesz)), log
 
 

@@ -20,8 +20,10 @@ COINCIDENT_OVERLAP = 1.0 - 1e-15
 def unit_rows(points) -> np.ndarray:
     """(n, d+1) complex array of unit representatives, one row per point.
 
-    Rows must be finite and non-zero with at least 2 homogeneous coordinates;
-    each is divided by its norm. The phase is whatever the caller supplied.
+    Rows must be finite and non-zero with at least 2 homogeneous coordinates,
+    and each row's squared norm must neither overflow nor underflow to 0 in
+    double precision; each is divided by its norm. The phase is whatever the
+    caller supplied.
     """
     arr = np.asarray(points, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -30,7 +32,13 @@ def unit_rows(points) -> np.ndarray:
         raise ValueError("a projective point needs at least 2 homogeneous coordinates")
     if not np.all(np.isfinite(arr)):
         raise ValueError("points must have finite entries")
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    if np.any(np.isinf(norms)):
+        raise ValueError("a row's squared norm overflows double precision; rescale it")
+    zero = norms[:, 0] == 0.0
+    if np.any(arr[zero]):
+        raise ValueError("a non-zero row's squared norm underflows to 0; rescale it")
+    if np.any(zero):
         raise ValueError("the zero vector has no projective class")
     return arr / norms

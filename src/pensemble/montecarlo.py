@@ -5,9 +5,10 @@ sample and lift phases from it alone. Trials run in blocks of consecutive
 indices, of at most 2^15 pair entries (trials * r^2, at least one trial), so
 r alone sets their size: a block derives the streams of its trials in one
 vectorised seed hash (each the stream `derive_trial_rng` gives that trial),
-samples its trials in lockstep, each on its own stream and with the bits that
-trial would get alone, lifts them as one stacked (T, r) phase draw, then
-evaluates their pair energies in one batched pass. It builds no
+samples its trials with the one chain-rule sampler, in lockstep, each on its
+own stream and with the bits that trial would get alone, lifts them as one
+stacked (T, r) phase draw, then evaluates their pair energies in one
+batched pass. It builds no
 `SphereConfiguration`: a sphere Riesz column off s = 2 sums over the lifted
 points of each trial's unit rows, from the builder that
 `SphereConfiguration.points` uses. A plan of one block runs in-process; a

@@ -21,11 +21,11 @@ accepted point. The expected acceptance rate at step i is (r-i)/r. Step 0
 is an ordinary step: with no point selected its residual is exactly 1, so
 its first proposal is accepted, and its uniform is drawn all the same.
 
-`_sample_points` draws one sample from one stream. `_lockstep_points` draws
-a block of samples, one per stream, with the steps of all trials in
-lockstep: it returns for every stream the bits `_sample_points` returns for
-it, and leaves the stream where `_sample_points` leaves it. The Monte Carlo
-harness samples every block of trials with it.
+One sampler, `_lockstep_points`, draws a block of samples, one per stream,
+with the steps of all trials in lockstep. Each stream gets the same bits,
+and is left in the same place, whatever block it is drawn in: alone, as
+`sample_projective_ensemble` draws it, or among the other trials of a Monte
+Carlo block.
 """
 
 from __future__ import annotations
@@ -141,44 +141,15 @@ def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
             return x.view(np.complex128) / norm
 
 
-def _sample_points(
-    params: KernelParams, rng: np.random.Generator
-) -> tuple[np.ndarray, list[int]]:
-    """Core sequential sampler; returns (r, d+1) representatives and proposal counts."""
-    d, L, r = params.d, params.L, params.r
-    budget = MAX_REJECTIONS_PER_POINT
-    random = rng.random
-    points = np.empty((r, d + 1), dtype=np.complex128)
-    inv_chol = np.zeros((r, r), dtype=np.complex128)  # W, lower triangular
-    proposals = []
-    for i in range(r):
-        w, selected = inv_chol[:i, :i], points[:i]
-        for tries in range(1, budget + 1):
-            cand = _uniform_unit_vector(d, rng)
-            y = w @ (selected @ cand.conj()) ** L
-            residual = 1.0 - np.vdot(y, y).real
-            if random() < residual:
-                break
-        else:
-            raise RejectionBudgetExceededError(
-                f"point {i}: no acceptance within {budget} proposals"
-            )
-        delta = math.sqrt(residual)
-        inv_chol[i, :i] = -(y.conj() @ w) / delta
-        inv_chol[i, i] = 1.0 / delta
-        points[i] = cand
-        proposals.append(tries)
-    return points, proposals
-
-
 def _lockstep_proposals(
     d: int, rngs: list[np.random.Generator], pending: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One proposal and its acceptance uniform for each pending trial.
 
-    Each trial draws from its own stream in the order `_sample_points` does:
-    normals, a redraw while their norm is tiny, then the uniform. The norms
-    go through matmul, which calls the same BLAS dot as `re.dot(re)`.
+    Each trial draws from its own stream in the order the unbatched round
+    of `_lockstep_points` does: normals, a redraw while their norm is tiny,
+    then the uniform. The norms go through matmul, which calls the same BLAS
+    dot as `re.dot(re)` in `_uniform_unit_vector`.
     """
     n, pending = 2 * (d + 1), pending.tolist()
     x = np.empty((len(pending), n))
@@ -199,15 +170,18 @@ def _lockstep_proposals(
 def _lockstep_points(
     params: KernelParams, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_sample_points` for a block of streams at once, bit for bit.
+    """The chain-rule sampler: one sample per stream, the steps of all in lockstep.
 
-    Returns (T, r, d+1) representatives and (T, r) proposal counts, row t
-    equal to `_sample_points(params, rngs[t])`. At step i every trial still
-    pending draws a proposal from its own stream; one batched pass then
-    forms the residuals of all of them, and a second grows W for those that
-    accepted. The rest try again in the next round. Every reduction is a
-    matmul, which calls per trial the BLAS routine the single sampler calls
-    (gemv, or dot when one side is a vector), so the bits agree.
+    Returns (T, r, d+1) representatives and (T, r) proposal counts; row t
+    depends on rngs[t] alone, not on the block it is drawn in. At step i,
+    while two or more trials are pending, each draws a proposal from its own
+    stream; one batched pass then forms the residuals of all of them, and a
+    second grows W for those that accepted. The rest try again in the next
+    round. The last pending trial finishes the step unbatched, on its own
+    matvecs, so a block of one takes that round at every step. Every batched
+    reduction is a matmul, which calls per trial the BLAS routine the
+    unbatched round calls (gemv, or dot when one side is a vector), so the
+    bits agree.
     """
     d, L, r = params.d, params.L, params.r
     budget = MAX_REJECTIONS_PER_POINT
@@ -216,10 +190,13 @@ def _lockstep_points(
     inv_chol = np.zeros((trials.size, r, r), dtype=np.complex128)
     proposals = np.empty((trials.size, r), dtype=np.int64)
     for i in range(r):
-        # Views while every trial is pending; the rows of the pending trials
-        # are copied out only when some trial accepts, not on every round.
-        pending, w, selected = trials, inv_chol[:, :i, :i], points[:, :i]
-        for tries in range(1, budget + 1):
+        pending, tries = trials, 0
+        if pending.size > 1:
+            # Views while every trial is pending; the rows of the pending
+            # trials are copied out only when some trial accepts.
+            w, selected = inv_chol[:, :i, :i], points[:, :i]
+        while pending.size > 1 and tries < budget:
+            tries += 1
             cand, uniform = _lockstep_proposals(d, rngs, pending)
             y = w @ (selected @ cand.conj()[:, :, None]) ** L
             residual = 1.0 - (y.conj().transpose(0, 2, 1) @ y)[:, 0, 0].real
@@ -234,12 +211,26 @@ def _lockstep_points(
                 proposals[done, i] = tries
                 rest = ~accept
                 pending, w, selected = pending[rest], w[rest], selected[rest]
-                if not pending.size:
+        if pending.size:
+            # The last pending trial, unbatched. Several left pending have
+            # spent the budget, so the loop runs no round and raises.
+            t = int(pending[0])
+            rng, w, selected = rngs[t], inv_chol[t, :i, :i], points[t, :i]
+            for tries in range(tries + 1, budget + 1):
+                cand = _uniform_unit_vector(d, rng)
+                y = w @ (selected @ cand.conj()) ** L
+                residual = 1.0 - np.vdot(y, y).real
+                if rng.random() < residual:
                     break
-        else:
-            raise RejectionBudgetExceededError(
-                f"point {i}: no acceptance within {budget} proposals"
-            )
+            else:
+                raise RejectionBudgetExceededError(
+                    f"point {i}: no acceptance within {budget} proposals"
+                )
+            delta = math.sqrt(residual)
+            inv_chol[t, i, :i] = -(y.conj() @ w) / delta
+            inv_chol[t, i, i] = 1.0 / delta
+            points[t, i] = cand
+            proposals[t, i] = tries
     return points, proposals
 
 
@@ -255,13 +246,13 @@ def _assert_no_coincidence(matrix: np.ndarray) -> None:
 def sample_projective_ensemble(config: SamplerConfig) -> ProjectiveSample:
     """Draw r = C(d+L, d) points of the determinantal process, reproducibly."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    matrix, proposals = _sample_points(config.params, rng)
-    _assert_no_coincidence(matrix)
+    points, proposals = _lockstep_points(config.params, [rng])
+    _assert_no_coincidence(points[0])
     return ProjectiveSample(
-        points=matrix,
+        points=points[0],
         params=config.params,
         seed=config.seed,
-        proposals_per_step=tuple(proposals),
+        proposals_per_step=tuple(proposals[0].tolist()),
     )
 
 

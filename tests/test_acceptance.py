@@ -34,7 +34,7 @@ from pensemble import (
 )
 from pensemble.cli import main as cli_main
 from pensemble.montecarlo import _BLOCK_PAIRS
-from pensemble.sampler import _sample_points, derive_trial_rng
+from pensemble.sampler import _lockstep_points, _trial_rngs
 
 SEED = 20_250_811
 WORKERS = os.cpu_count() or 1
@@ -249,11 +249,8 @@ def test_criterion_7_constants_and_figure1():
 def test_criterion_8_one_point_intensity_ks():
     d, L, samples = 2, 2, 10_000
     params = KernelParams(d, L)
-    pooled = np.empty(samples * params.r)
-    for index in range(samples):
-        rng = derive_trial_rng(SEED + 2, index)
-        matrix, _ = _sample_points(params, rng)
-        pooled[index * params.r:(index + 1) * params.r] = 1.0 - np.abs(matrix[:, 0]) ** 2
+    points, _ = _lockstep_points(params, _trial_rngs(SEED + 2, 0, samples))
+    pooled = 1.0 - np.abs(points[:, :, 0].ravel()) ** 2
     res = stats.kstest(pooled, lambda x: x**d)
     ok = res.pvalue > 1e-3
     announce(8, "pooled chart radial statistic vs CDF u^d", ok,

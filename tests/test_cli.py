@@ -12,13 +12,13 @@ from pensemble.cli import main as cli_main
 from pensemble.pointset import read_pointset
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, python_args=()):
     env = os.environ.copy()
     env.pop("PENSEMBLE_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "pensemble", *args],
+        [sys.executable, *python_args, "-m", "pensemble", *args],
         capture_output=True,
         env=env,
         cwd=cwd,
@@ -297,6 +297,25 @@ def test_energy_rejects_malformed_point_entries(tmp_path, space, points, message
     kind = ("projective", "--s", "1") if space == "CP" else ("riesz", "--s", "2")
     res = run_cli("energy", "--kind", *kind, "--in", str(path))
     assert res.returncode == 2
+    assert res.stderr.startswith(b"error: ") and message in res.stderr
+
+
+@pytest.mark.parametrize("scale, message", [(1e200, b"overflows"), (1e-170, b"underflows")])
+@pytest.mark.parametrize("command", ["energy", "lift"])
+def test_row_norm_outside_double_range_exits_2(tmp_path, scale, message, command):
+    # Row (scale, scale, 0): its squared norm 2 scale^2 leaves double range.
+    # Under -W error the norm must not warn before the row is refused.
+    rows = [[scale, scale, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    doc = {"space": "CP", "d": 2, "L": 1, "seed": 1,
+           "points": [[[x, 0.0] for x in row] for row in rows]}
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    if command == "energy":
+        args = ["energy", "--kind", "projective", "--s", "2", "--in", str(path)]
+    else:
+        args = ["lift", "--k", "2", "--seed", "3", "--in", str(path), "--out", str(out)]
+    res = run_cli(*args, python_args=("-W", "error"))
+    assert res.returncode == 2 and res.stdout == b"" and not out.exists()
     assert res.stderr.startswith(b"error: ") and message in res.stderr
 
 

@@ -28,6 +28,19 @@ def test_projective_point_rejects_zero_and_nonfinite():
         unit_rows([1.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")  # the norm must not warn before the check
+def test_unit_rows_refuses_a_norm_outside_double_range():
+    with pytest.raises(ValueError, match="overflows"):
+        unit_rows([[1e200, 1e200j, 0.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="underflows"):
+        unit_rows([[1e-170, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="zero vector"):
+        unit_rows([[0.0, 0.0], [0.0, 0.0]])
+    # Near either end, a row whose squared norm stays normal keeps its bits.
+    rows = np.array([[1e150, 2e150j], [3e-150, -4e-150j]])
+    assert np.array_equal(unit_rows(rows), rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
 def test_fubini_orthogonal_points():
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])

@@ -33,7 +33,7 @@ from pensemble.montecarlo import (
     _trials_per_block,
 )
 from pensemble.pointset import dumps
-from pensemble.sampler import _lockstep_points, _sample_points
+from pensemble.sampler import _lockstep_points
 
 
 def _config(**overrides):
@@ -124,7 +124,7 @@ def test_trial_values_match_public_energies(d, L, k):
     block = _block_values(config, 0, 3)
     for trial, values in enumerate(block):
         rng = derive_trial_rng(config.master_seed, trial)
-        points, _ = _sample_points(KernelParams(d, L), rng)
+        points = _lockstep_points(KernelParams(d, L), [rng])[0][0]
         lifted = realify(lift_to_sphere(points, k, rng)) if k else None
         for value, spec in zip(values, config.energies):
             if spec.kind == "projective_riesz":

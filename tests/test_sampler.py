@@ -20,12 +20,18 @@ from pensemble.geometry import COINCIDENT_OVERLAP
 from pensemble.sampler import (
     _assert_no_coincidence,
     _lockstep_points,
-    _sample_points,
     _trial_rngs,
     _uniform_unit_vector,
 )
 
 KS_ALPHA = 1e-3
+
+
+def _alone(params, rng):
+    # One stream in a block of its own, as `sample_projective_ensemble` draws
+    # it: every step runs the unbatched round.
+    points, proposals = _lockstep_points(params, [rng])
+    return points[0], proposals[0]
 
 
 def _chart_radial_stat(points):
@@ -101,12 +107,9 @@ def _pair_u_cdf(d, L):
 @pytest.mark.parametrize("d,L", [(1, 1), (2, 1), (1, 4)])
 def test_pair_overlap_follows_two_point_law_ks(d, L):
     samples = 2000
-    first, last = np.empty(samples), np.empty(samples)
-    for trial in range(samples):
-        points, _ = _sample_points(KernelParams(d, L), derive_trial_rng(20261019, trial))
-        first[trial] = 1.0 - abs(np.vdot(points[0], points[1])) ** 2
-        last[trial] = 1.0 - abs(np.vdot(points[-2], points[-1])) ** 2
-    for u in (first, last):
+    points, _ = _lockstep_points(KernelParams(d, L), _trial_rngs(20261019, 0, samples))
+    for a, b in ((0, 1), (-2, -1)):
+        u = np.array([1.0 - abs(np.vdot(p[a], p[b])) ** 2 for p in points])
         assert stats.kstest(u, _pair_u_cdf(d, L)).pvalue > KS_ALPHA
         # The same data reject the law of independent uniform points, u^d,
         # so the test can fail.
@@ -146,6 +149,7 @@ def test_sampler_determinism():
     b = sample_projective_ensemble(SamplerConfig(params=params, seed=42))
     assert np.array_equal(a.matrix, b.matrix)
     assert a.proposals_per_step == b.proposals_per_step
+    assert all(type(n) is int for n in a.proposals_per_step)
     c = sample_projective_ensemble(SamplerConfig(params=params, seed=43))
     assert not np.array_equal(a.matrix, c.matrix)
 
@@ -208,24 +212,28 @@ def _reference_sample(params, rng):
 
 @pytest.mark.parametrize("d,L", [(1, 3), (2, 2), (2, 5), (3, 2)])
 def test_kernel_chain_rule_matches_feature_space_reference(d, L):
+    # A block of 3 runs batched rounds, then the unbatched one for the last
+    # pending trial of each step.
     params = KernelParams(d, L)
+    points, proposals = _lockstep_points(params, _trial_rngs(31, 0, 3))
     for index in range(3):
-        points, proposals = _sample_points(params, derive_trial_rng(31, index))
         ref_points, ref_proposals = _reference_sample(params, derive_trial_rng(31, index))
-        assert proposals == ref_proposals
-        assert np.array_equal(points, ref_points)
+        assert proposals[index].tolist() == ref_proposals
+        assert np.array_equal(points[index], ref_points)
 
 
 # SHA-256 (first 32 hex digits) of the points and proposal counts of
-# `count` samples drawn from derive_trial_rng(20261019, index). Any change to
-# the draws, their order or the arithmetic that turns them into points moves
-# these; a change to the rng stream must re-derive them and say so.
+# `count` samples drawn, each alone, from derive_trial_rng(20261019, index).
+# Any change to the draws, their order or the arithmetic that turns them into
+# points moves these; a change to the rng stream must re-derive them and say
+# so.
 _STREAM_DIGESTS = [
     (1, 3, 12, "5fb040ab0d10b3a1d18d67a16ca5bf4a"),
     (2, 0, 40, "bd0a4bb0dab62578252df56db3a34b5c"),  # r = 1: the whole sample is step 0
     (2, 1, 40, "9e64c8939e904d11300bdf2b699b0ede"),
     (2, 5, 8, "1520aa42b005d8c99d7bd51e5258a9da"),
     (5, 4, 3, "c9e7412e9f9fbaddf61e280d273236e9"),
+    (1, 150, 2, "ea0025651d9ea1eb50df550e3aa9ce52"),  # L >= 100: numpy's ** L stops squaring
 ]
 
 
@@ -233,9 +241,9 @@ _STREAM_DIGESTS = [
 def test_seeded_samples_match_committed_digest(d, L, count, digest):
     h = hashlib.sha256()
     for index in range(count):
-        points, proposals = _sample_points(KernelParams(d, L), derive_trial_rng(20261019, index))
+        points, proposals = _alone(KernelParams(d, L), derive_trial_rng(20261019, index))
         h.update(points.tobytes())
-        h.update(np.asarray(proposals, dtype=np.int64).tobytes())
+        h.update(proposals.tobytes())
     assert h.hexdigest()[:32] == digest
 
 
@@ -247,23 +255,35 @@ _LOCKSTEP_GRID = [
 ]
 
 
+def _assert_block_matches_each_stream_alone(params, count):
+    # A block runs batched rounds while two or more trials are pending; each
+    # stream alone runs the unbatched round at every step.
+    rngs = [derive_trial_rng(20261020, index) for index in range(count)]
+    points, proposals = _lockstep_points(params, rngs)
+    assert points.shape == (count, params.r, params.d + 1)
+    assert proposals.shape == (count, params.r)
+    for index, rng in enumerate(rngs):
+        ref_rng = derive_trial_rng(20261020, index)
+        ref_points, ref_proposals = _alone(params, ref_rng)
+        assert np.array_equal(points[index], ref_points)
+        assert np.array_equal(proposals[index], ref_proposals)
+        # Each stream is left where it is left alone, so the lift that
+        # follows draws the same phases.
+        assert rng.random() == ref_rng.random()
+
+
 @pytest.mark.parametrize("d, L", _LOCKSTEP_GRID)
 def test_lockstep_block_matches_each_stream_bit_for_bit(d, L):
     # Block sizes that are not the plan's: a partial block of 37, or 5 at large r.
     params = KernelParams(d, L)
-    count = 37 if params.r <= 45 else 5
-    rngs = [derive_trial_rng(20261020, index) for index in range(count)]
-    points, proposals = _lockstep_points(params, rngs)
-    assert points.shape == (count, params.r, d + 1)
-    assert proposals.shape == (count, params.r)
-    for index, rng in enumerate(rngs):
-        ref_rng = derive_trial_rng(20261020, index)
-        ref_points, ref_proposals = _sample_points(params, ref_rng)
-        assert np.array_equal(points[index], ref_points)
-        assert proposals[index].tolist() == ref_proposals
-        # Each stream is left where the single sampler leaves it, so the
-        # lift that follows draws the same phases.
-        assert rng.random() == ref_rng.random()
+    _assert_block_matches_each_stream_alone(params, 37 if params.r <= 45 else 5)
+
+
+# The plans' own block sizes where the last pending trial matters: r = 120 in
+# blocks of 1 and 2, r = 66 in blocks of 7.
+@pytest.mark.parametrize("d, L, count", [(2, 14, 1), (2, 14, 2), (2, 10, 7)])
+def test_plan_block_matches_each_stream_bit_for_bit(d, L, count):
+    _assert_block_matches_each_stream_alone(KernelParams(d, L), count)
 
 
 class _ZeroFirstNormal:
@@ -292,12 +312,12 @@ def test_lockstep_redraws_a_zero_proposal_before_its_uniform():
     params = KernelParams(2, 2)
     fake, ref = _ZeroFirstNormal(8), _ZeroFirstNormal(8)
     points, proposals = _lockstep_points(params, [np.random.default_rng(9), fake])
-    ref_points, ref_proposals = _sample_points(params, ref)
+    ref_points, ref_proposals = _alone(params, ref)
     assert fake.draws[:3] == ["normal", "normal", "uniform"]
     assert fake.draws == ref.draws
     assert np.array_equal(points[1], ref_points)
-    assert proposals[1].tolist() == ref_proposals
-    assert np.array_equal(points[0], _sample_points(params, np.random.default_rng(9))[0])
+    assert np.array_equal(proposals[1], ref_proposals)
+    assert np.array_equal(points[0], _alone(params, np.random.default_rng(9))[0])
 
 
 def test_lockstep_rejection_budget_raises(monkeypatch):
@@ -318,13 +338,8 @@ def test_rejection_budget_raises(monkeypatch):
 def test_one_point_intensity_matches_uniform_two_sample_ks():
     # Pooled per-point statistic of the process vs. plain uniform draws.
     d, L, samples = 1, 1, 50_000
-    params = KernelParams(d, L)
-    pooled = []
-    for index in range(samples):
-        rng = derive_trial_rng(909, index)
-        matrix, _ = _sample_points(params, rng)
-        pooled.append(_chart_radial_stat(matrix))
-    pooled = np.concatenate(pooled)
+    points, _ = _lockstep_points(KernelParams(d, L), _trial_rngs(909, 0, samples))
+    pooled = _chart_radial_stat(points.reshape(-1, d + 1))
     assert pooled.size >= 100_000
     rng = np.random.default_rng(910)
     uniform = _uniform_points(d, 100_000, rng)
@@ -404,9 +419,7 @@ def test_trials_independent_of_execution_order():
     params = KernelParams(1, 1)
 
     def run(index):
-        rng = derive_trial_rng(55, index)
-        matrix, _ = _sample_points(params, rng)
-        return matrix
+        return _alone(params, derive_trial_rng(55, index))[0]
 
     forward = [run(i) for i in range(10)]
     backward = [run(i) for i in reversed(range(10))][::-1]
